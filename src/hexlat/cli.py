@@ -69,6 +69,8 @@ _DEFAULTS = {
 }
 
 _INT_KEYS = {"m", "n", "K", "shells", "s_max", "n_r", "n_alpha", "n_lambda"}
+# Sample counts of the curves a run plots; a curve needs two points.
+_COUNT_KEYS = ("n_r", "n_alpha", "n_lambda")
 _STR_KEYS = {"direction", "r_factors", "alphas"}
 
 
@@ -108,6 +110,9 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         if key not in cfg:
             raise ConfigurationError(f"unknown config key {key!r}")
         cfg[key] = _parse_value(key, raw)
+    for key in _COUNT_KEYS:
+        if cfg[key] < 2:
+            raise ConfigurationError(f"key {key!r}: need at least 2 samples, got {cfg[key]}")
     return cfg
 
 
@@ -470,15 +475,11 @@ def _write_failure(args, exc, kind: str):
             "status": kind + "-failure",
             "message": str(exc),
         }
-        tail = getattr(exc, "tail", None)
-        if tail is not None:
-            doc["tail"] = tail
-        condition = getattr(exc, "condition", None)
-        if condition is not None:
-            doc["condition"] = condition
-        residual = getattr(exc, "residual", None)
-        if residual is not None:
-            doc["residual"] = residual
+        for key in ("tail", "condition", "residual"):
+            value = getattr(exc, key, None)
+            if value is not None:
+                # NaN and infinities are not JSON: report them as null
+                doc[key] = float(value) if np.isfinite(value) else None
         (out / "check.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     except OSError:
         pass

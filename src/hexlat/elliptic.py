@@ -89,27 +89,35 @@ def make_evaluator(sums: LatticeSums, r_min: float | None = None, r_max: float |
     return EllipticEvaluator(sums=sums, laurent_terms=terms, r_min=r_min, r_max=r_max)
 
 
-def fold_point(z: complex, spec: LatticeSpec) -> tuple[complex, int, int]:
+# Candidate offsets (dm, dn) in -1..2, ascending so that argmin's first
+# hit breaks distance ties by the smallest (m, n).
+_FOLD_DM, _FOLD_DN = np.array(np.divmod(np.arange(16), 4)) - 1
+
+
+def fold_point(z: complex | np.ndarray, spec: LatticeSpec):
     """Reduce z to its Voronoi representative z0 = z - m*omega1 - n*omega2.
 
     The representative is the one closest to the origin among the
     candidate translates around the fractional coordinates; ties are
-    broken deterministically by (|z0|, m, n) ordering.
+    broken deterministically by (|z0|, m, n) ordering, with |z0|/a
+    rounded to 12 decimals.  A scalar z returns (complex, int, int); an
+    array returns arrays (z0, m, n) of its shape.
     """
+    za = np.asarray(z, dtype=complex)
+    if not np.isfinite(za).all():
+        raise DomainError(f"cannot fold a non-finite point {z}")
     w1, w2 = spec.omega1, spec.omega2
-    den = np.imag(w1 * np.conj(w2))
-    tm = np.imag(z * np.conj(w2)) / den
-    tn = np.imag(np.conj(w1) * z) / np.imag(np.conj(w1) * w2)
-    m0, n0 = int(np.floor(tm)), int(np.floor(tn))
-    best = None
-    for dm in (0, 1, -1, 2):
-        for dn in (0, 1, -1, 2):
-            m, n = m0 + dm, n0 + dn
-            z0 = z - m * w1 - n * w2
-            key = (round(abs(z0) / spec.a, 12), m, n)
-            if best is None or key < best[0]:
-                best = (key, z0, m, n)
-    return best[1], best[2], best[3]
+    zf = za.reshape(-1, 1)
+    tm = np.imag(zf * np.conj(w2)) / np.imag(w1 * np.conj(w2))
+    tn = np.imag(np.conj(w1) * zf) / np.imag(np.conj(w1) * w2)
+    m = np.floor(tm).astype(int) + _FOLD_DM
+    n = np.floor(tn).astype(int) + _FOLD_DN
+    cand = zf - m * w1 - n * w2
+    pick = np.arange(len(cand)), np.argmin(np.round(np.abs(cand) / spec.a, 12), axis=1)
+    z0, m, n = (v[pick].reshape(za.shape) for v in (cand, m, n))
+    if za.ndim == 0:
+        return complex(z0), int(m), int(n)
+    return z0, m, n
 
 
 def _check_annulus(z: complex, ev: EllipticEvaluator):

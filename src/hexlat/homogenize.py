@@ -113,12 +113,21 @@ def homogenization_data(
     sums: LatticeSums | None = None,
     shells: int = 64,
 ) -> HomogenizationData:
-    """Unit-load coefficient set for one (lattice, hole radius) pair, cached."""
-    key = (spec.a, spec.omega1, lam, K, shells, None if sums is None else id(sums))
+    """Unit-load coefficient set for one (lattice, hole radius) pair, cached.
+
+    The cache key holds the given sums object itself (LatticeSums hashes
+    by identity), which keeps it alive, so its identity cannot be reused
+    by another set of sums while the entry exists.
+    """
+    key = (spec.a, spec.omega1, lam, K, shells, sums)
     with _cache_lock:
         hit = _cache.get(key)
     if hit is not None:
         return hit
+    if sums is None:
+        from .lattice import compute_lattice_sums
+
+        sums = compute_lattice_sums(spec, s_max=max(40, 2 * K + 2), shells=shells)
     plus, minus = unit_load_coefficients(spec, lam, K=K, sums=sums, shells=shells)
     vals = {
         "alpha0_plus": plus.alpha0,
@@ -132,10 +141,6 @@ def homogenization_data(
             raise ConsistencyError(
                 f"unit-load coefficient {name} = {v} is not real", residual=abs(np.imag(v))
             )
-    if sums is None:
-        from .lattice import compute_lattice_sums
-
-        sums = compute_lattice_sums(spec, s_max=max(40, 2 * K + 2), shells=shells)
     data = HomogenizationData(
         a=spec.a,
         lam=float(lam),

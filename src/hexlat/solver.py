@@ -15,8 +15,8 @@ to rounding accuracy, and does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import lgamma
+from dataclasses import dataclass, replace
+from math import isfinite, lgamma
 
 import numpy as np
 
@@ -46,6 +46,10 @@ class LoadCase:
     sigma1: float
     sigma2: float
     alpha: float
+
+    def __post_init__(self):
+        if not all(isfinite(v) for v in (self.sigma1, self.sigma2, self.alpha)):
+            raise InvalidArgumentError(f"{self} must be finite")
 
     @property
     def sigma_plus(self) -> float:
@@ -97,7 +101,15 @@ class SeriesTables:
 
 @dataclass(frozen=True, eq=False)
 class PotentialCoefficients:
-    """Solved series coefficients: alpha[k-1], beta[k-1] for k = 1..K(+1)."""
+    """Solved series coefficients: alpha[k-1], beta[k-1] for k = 1..K(+1).
+
+    series is the collapsed series matrix: at a point z0 of the central
+    cell, (z0^2)^powers @ series gives (Phi, Psi, z0*Phi', phi/z0,
+    psi/z0) of the corrective problem, where phi and psi are the
+    term-wise antiderivatives of Phi and Psi (zero integration
+    constant).  Its rows carry the powers z0^(2j), j < T (the first also
+    carrying alpha0 and beta0), then z0^-(2k+2), k < K.
+    """
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -105,6 +117,8 @@ class PotentialCoefficients:
     beta0: complex
     condition: float
     residual: float
+    series: np.ndarray
+    powers: np.ndarray
 
 
 def _fact_quot(num: int, den1: int, den2: int) -> float:
@@ -193,8 +207,8 @@ def solve_coefficients(
     """Solve for all potential coefficients of one load case.
 
     With check_residual (default) the rim traction of the assembled
-    solution is evaluated and a ConsistencyError raised if it exceeds
-    1e-6 of the load scale.
+    solution is evaluated and a ConsistencyError raised unless it is
+    within 1e-6 of the load scale (a NaN residual fails).
     """
     if tables.K != prob.K or tables.lam != prob.lam:
         raise ConfigurationError("tables were built for a different (lam, K)")
@@ -209,26 +223,34 @@ def solve_coefficients(
         beta[j] = (2 * j + 1) * alpha[j - 1] + lam ** (2.0 * j) * np.sum(
             pw * r[j, :K] * np.conj(alpha)
         )
-    alpha0 = b / 2.0 * beta1
-    beta0 = b * np.conj(alpha[0])
+    alpha0 = complex(b / 2.0 * beta1)
+    beta0 = complex(b * np.conj(alpha[0]))
+
+    # Collapse the r/rho tables onto the coefficients.  Each row is one
+    # power z^e of the Phi and Psi series; z*Phi' and the antiderivatives
+    # over z take the factors e and 1/(e+1).
+    powers = np.concatenate([np.arange(r.shape[0]), -np.arange(1, K + 1)])
+    e = 2.0 * powers
+    A, B = alpha * pw, beta[:K] * pw
+    phi_rows = np.concatenate([r[:, :K] @ A, A])
+    psi_rows = np.concatenate([r[:, :K] @ B - tables.rho[:, :K] @ A, B])
+    series = np.column_stack([phi_rows, psi_rows, e * phi_rows, phi_rows / (e + 1), psi_rows / (e + 1)])
+    series[0] += [alpha0, beta0, 0.0, alpha0, beta0]
     coeffs = PotentialCoefficients(
-        alpha=alpha, beta=beta, alpha0=complex(alpha0), beta0=complex(beta0),
-        condition=cond, residual=float("nan"),
+        alpha=alpha, beta=beta, alpha0=alpha0, beta0=beta0,
+        condition=cond, residual=float("nan"), series=series, powers=powers,
     )
     if check_residual:
         from . import fields  # deferred: fields depends on this module's types
 
         scale = max(abs(prob.load.sigma1), abs(prob.load.sigma2), 1e-300)
         res = fields.boundary_residual(prob, coeffs, tables)
-        if res > _RESIDUAL_TOL * scale:
+        if not res <= _RESIDUAL_TOL * scale:  # fails closed on NaN
             raise ConsistencyError(
                 f"rim traction residual {res:.3e} exceeds {_RESIDUAL_TOL:.0e} x load",
                 residual=res,
             )
-        coeffs = PotentialCoefficients(
-            alpha=alpha, beta=beta, alpha0=complex(alpha0), beta0=complex(beta0),
-            condition=cond, residual=res,
-        )
+        coeffs = replace(coeffs, residual=res)
     return coeffs
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hexlat import fields
 from hexlat.cli import load_config, main
 
 
@@ -48,6 +49,20 @@ class TestConfig:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["sums", "--config", str(tmp_path / "none.cfg"), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ("field", "n_r=1"),
+        ("sweep", "n_alpha=1"),
+        ("moduli", "direction=bond_to_effective", "nu=0.3", "n_lambda=1"),
+    ])
+    def test_sample_counts_below_two(self, tmp_path, args):
+        assert main([args[0], "--out", str(tmp_path), "a=1", *args[1:]]) == 2
+
+    @pytest.mark.parametrize("load", ["sigma1=nan", "sigma2=inf", "alpha=-inf"])
+    def test_non_finite_load(self, tmp_path, load):
+        code, out = run(tmp_path, "solve", "a=1", load)
+        assert code == 2
+        assert not (out / "check.json").exists()
 
 
 class TestSums:
@@ -96,6 +111,19 @@ class TestSolve:
         assert len(doc["beta_k"]) == doc["K"] + 1
         check = json.loads((out / "check.json").read_text())
         assert check["checks"]["boundary_residual"] < 1e-10
+
+
+    def test_non_finite_residual_fails_with_valid_json(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fields, "boundary_residual", lambda *args, **kwargs: float("nan"))
+        code, out = run(tmp_path, "solve", "a=1")
+        assert code == 4
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        doc = json.loads((out / "check.json").read_text(), parse_constant=reject)
+        assert doc["status"] == "consistency-failure"
+        assert doc["residual"] is None
 
 
 class TestField:

@@ -116,6 +116,48 @@ class TestFolding:
         z0, m, n = elliptic.fold_point(0j, spec)
         assert (m, n) == (0, 0) and z0 == 0j
 
+    def test_array_fold_matches_brute_force(self, spec):
+        a, w1, w2 = spec.a, spec.omega1, spec.omega2
+        # exact ties: origin, edge midpoints, cell vertex; then their translates
+        ties = [0j, w1 / 2, -w1 / 2, (w1 + w2) / 3, a / 2, -a / 2, 0.5j * a, -0.5j * a]
+        shifted = [t + m * w1 + n * w2 for t in ties for m in (-2, 1) for n in (-1, 2)]
+        rng = np.random.default_rng(17)
+        rand = rng.uniform(-3, 3, 200) + 1j * rng.uniform(-3, 3, 200)
+        z = np.array(ties + shifted + list(rand))
+        z0, m, n = elliptic.fold_point(z, spec)
+        for i, zi in enumerate(z):
+            ref = _fold_brute_force(zi, spec)
+            assert (m[i], n[i]) == ref[1:], zi
+            assert z0[i] == ref[0]
+            assert elliptic.fold_point(zi, spec) == (z0[i], m[i], n[i])
+
+    def test_scalar_and_shaped_returns(self, spec):
+        z0, m, n = elliptic.fold_point(1.3 - 0.4j, spec)
+        assert type(z0) is complex and type(m) is int and type(n) is int
+        grid = np.array([[0.1, 1.3 - 0.4j], [2.0j, -1.7]])
+        z0s, ms, ns = elliptic.fold_point(grid, spec)
+        assert z0s.shape == ms.shape == ns.shape == grid.shape
+        assert elliptic.fold_point(grid[0, 1], spec) == (z0s[0, 1], ms[0, 1], ns[0, 1])
+
+    def test_non_finite_rejected(self, spec):
+        for bad in (complex(np.nan, 0.0), np.array([0.1, np.inf])):
+            with pytest.raises(errors.DomainError):
+                elliptic.fold_point(bad, spec)
+
+
+def _fold_brute_force(z, spec):
+    """Nearest translate over a 7x7 window around the fractional
+    coordinates, ties broken by (|z0|/a to 12 decimals, m, n)."""
+    w1, w2 = spec.omega1, spec.omega2
+    u, v = np.linalg.solve([[w1.real, w2.real], [w1.imag, w2.imag]], [z.real, z.imag])
+    keys = []
+    for m in range(int(round(u)) - 3, int(round(u)) + 4):
+        for n in range(int(round(v)) - 3, int(round(v)) + 4):
+            z0 = z - m * w1 - n * w2
+            keys.append((round(abs(z0) / spec.a, 12), m, n, z0))
+    _, m, n, z0 = min(keys, key=lambda k: k[:3])
+    return z0, m, n
+
 
 class TestEvaluatorConstruction:
     def test_adaptive_term_count(self, sums):

@@ -1,11 +1,75 @@
 """Total fields: periodicity, boundary conditions, oracles."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexlat import errors, fields, lattice, solver
+from hexlat import elliptic, errors, fields, lattice, solver
+
+
+def _oracle_series(z0, coeffs, tables):
+    """Per-point matrix-vector evaluation of Phi, Phi', Psi, phi, psi at a
+    folded point z0: the formula the collapsed series matrix replaced."""
+    K, lam = tables.K, tables.lam
+    j = np.arange(tables.r.shape[0])
+    k = np.arange(K)
+    wk = lam ** (2.0 * k + 2.0)
+    zpow = z0 ** (2.0 * j)
+    zpow_d = 2.0 * j[1:] * z0 ** (2.0 * j[1:] - 1.0)
+    zint = z0 ** (2.0 * j + 1.0) / (2.0 * j + 1.0)
+    sing = z0 ** (-(2.0 * k + 2.0))
+    sing_d = -(2.0 * k + 2.0) * z0 ** (-(2.0 * k + 3.0))
+    sing_int = z0 ** (-(2.0 * k + 1.0)) / (-(2.0 * k + 1.0))
+    r, rho = tables.r[:, :K], tables.rho[:, :K]
+    al, be = coeffs.alpha, coeffs.beta[:K]
+    phi = coeffs.alpha0 + np.sum(al * wk * (sing + r.T @ zpow))
+    phi_d = np.sum(al * wk * (sing_d + r[1:].T @ zpow_d))
+    psi = coeffs.beta0 + np.sum(be * wk * (sing + r.T @ zpow)) - np.sum(al * wk * (rho.T @ zpow))
+    phi_i = coeffs.alpha0 * z0 + np.sum(al * wk * (sing_int + r.T @ zint))
+    psi_i = (
+        coeffs.beta0 * z0
+        + np.sum(be * wk * (sing_int + r.T @ zint))
+        - np.sum(al * wk * (rho.T @ zint))
+    )
+    return phi, phi_d, psi, phi_i, psi_i
+
+
+def _oracle_potentials(z, coeffs, tables):
+    """(Phi, Phi', Psi, phi, psi) at any point, one point at a time."""
+    sums = tables.sums
+    z0, m, n = elliptic.fold_point(z, sums.spec)
+    phi, phi_d, psi, phi_i, psi_i = _oracle_series(z0, coeffs, tables)
+    w = m * sums.spec.omega1 + n * sums.spec.omega2
+    dw = m * sums.delta1 + n * sums.delta2
+    lam2 = tables.lam**2
+    return (
+        phi,
+        phi_d,
+        psi - np.conj(w) * phi_d,
+        phi_i + coeffs.alpha0 * w - coeffs.alpha[0] * lam2 * dw,
+        psi_i + coeffs.beta0 * w - coeffs.beta[0] * lam2 * dw - np.conj(w) * (phi - coeffs.alpha0),
+    )
+
+
+def _evaluator_points(spec, lam, count=60, seed=29):
+    """Random points outside the holes, rim points and cell vertices,
+    over a block of cells around the origin."""
+    w1, w2 = spec.omega1, spec.omega2
+    rng = np.random.default_rng(seed)
+    pts = []
+    while len(pts) < count:
+        z = complex(*rng.uniform(-1.5, 1.5, 2) @ np.array([[w1.real, w1.imag], [w2.real, w2.imag]]))
+        if abs(elliptic.fold_point(z, spec)[0]) > lam * 1.001:
+            pts.append(z)
+    th = np.linspace(0, 2 * np.pi, 12, endpoint=False)
+    rim = list(lam * np.exp(1j * th)) + list(lam * np.exp(1j * th) + w1 - 2 * w2)
+    vertices = list(spec.a / np.sqrt(3) * np.exp(1j * np.pi / 3 * np.arange(6)))
+    vertices += [v + 2 * w1 + w2 for v in vertices]
+    return np.array(pts + rim + vertices)
 
 
 class TestCellGeometry:
@@ -59,6 +123,70 @@ class TestPeriodicity:
             w = m * spec.omega1 + n * spec.omega2
             _, _, psi_t = fields.potentials_eval(z0 + w, coeffs, tables)
             assert abs(psi_t - (psi - np.conj(w) * phi_d)) < 1e-10
+
+
+class TestEvaluator:
+    def test_matches_per_point_formula(self, spec, solved, tables):
+        prob, coeffs = solved
+        scale = max(abs(prob.load.sigma1), abs(prob.load.sigma2))
+        z = _evaluator_points(spec, prob.lam)
+        got = fields._potentials(z, coeffs, tables)
+        for i, zi in enumerate(z):
+            ref = _oracle_potentials(zi, coeffs, tables)
+            for g, r in zip(got, ref):
+                assert abs(g[i] - r) <= 1e-13 * scale, zi
+
+    def test_batch_matches_single_points(self, spec, solved, tables):
+        prob, coeffs = solved
+        z = _evaluator_points(spec, prob.lam, seed=31)
+        batch = fields._potentials(z, coeffs, tables)
+        single = np.array([fields._potentials(zi, coeffs, tables) for zi in z]).T
+        for got, ref in zip(batch, single):
+            assert got.shape == z.shape
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_public_wrappers_share_the_evaluator(self, spec, solved, tables):
+        prob, coeffs = solved
+        z = _evaluator_points(spec, prob.lam, count=10, seed=37)
+        phi, phi_d, psi, phi_i, psi_i = fields._potentials(z, coeffs, tables)
+        p = fields.potentials_eval(z, coeffs, tables)
+        d = fields.displacement_potentials(z, coeffs, tables)
+        for got, ref in zip((*p, *d), (phi, phi_d, psi, phi_i, psi_i)):
+            assert np.array_equal(got, ref)
+
+    def test_first_point_inside_a_hole_is_named(self, spec, solved, tables):
+        _, coeffs = solved
+        z = np.array([0.3 + 0.1j, 0.05 + spec.omega1, 0.01j])
+        with pytest.raises(errors.DomainError, match=re.escape(str(z[1]))):
+            fields._potentials(z, coeffs, tables)
+
+    def test_residual_is_max_of_rim_residuals(self, spec, sums):
+        # an under-resolved solution, so the residual is far above rounding
+        lam, K = 0.45, 4
+        tables = solver.series_tables(sums, lam, K)
+        load = solver.LoadCase(2.0, -0.5, 0.7)
+        prob = solver.ProblemSpec(spec, lam, load, K)
+        coeffs = solver.solve_coefficients(prob, tables, check_residual=False)
+        worst = 0.0
+        for th in np.linspace(0.0, 2 * np.pi, 256, endpoint=False):
+            t = lam * np.exp(1j * th)
+            phi, phi_d, psi = fields.potentials_eval(t, coeffs, tables, fold=False)
+            res = (
+                phi + np.conj(phi) - (np.conj(t) * phi_d + psi) * np.exp(2j * th)
+                + load.sigma_plus + load.sigma_minus * np.exp(2j * (th - load.alpha))
+            )
+            worst = max(worst, abs(res))
+        assert worst > 1e-6
+        assert fields.boundary_residual(prob, coeffs, tables) == pytest.approx(worst, rel=1e-12)
+
+    def test_non_finite_residual_is_nan(self, spec, tables):
+        load = solver.LoadCase(2.0, 1.0, 0.0)
+        prob = solver.ProblemSpec(spec, 0.2, load, 16)
+        coeffs = solver.solve_coefficients(prob, tables, check_residual=False)
+        series = coeffs.series.copy()
+        series[3, 0] = np.nan
+        broken = dataclasses.replace(coeffs, series=series)
+        assert np.isnan(fields.boundary_residual(prob, broken, tables))
 
 
 class TestBoundary:

@@ -1,11 +1,14 @@
 """Moduli conversions, round trips, and the raw jump-system oracle."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexlat import errors, homogenize, lattice
+from hexlat import errors, homogenize, lattice, solver
 
 
 @pytest.fixture(scope="module")
@@ -112,3 +115,29 @@ class TestCaching:
         d1 = homogenize.homogenization_data(spec, 0.17, sums=sums)
         d2 = homogenize.homogenization_data(spec, 0.17, sums=sums)
         assert d1 is d2
+
+    def test_entries_keep_their_sums_alive(self, spec):
+        # an identity key is safe only while the keyed object cannot be freed
+        # and its id handed to another set of sums
+        for shells in (16, 24):
+            s = lattice.compute_lattice_sums(spec, s_max=40, shells=shells)
+            alive = weakref.ref(s)
+            assert homogenize.homogenization_data(spec, 0.18, sums=s).delta == s.delta
+            del s
+            gc.collect()
+            assert alive() is not None
+
+    def test_missing_sums_computed_once(self, spec, monkeypatch):
+        calls = []
+        original = lattice.compute_lattice_sums
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+
+        for module in (lattice, solver, homogenize):
+            monkeypatch.setattr(module, "compute_lattice_sums", counting, raising=False)
+        homogenize.homogenization_data(spec, 0.16, shells=16)
+        assert len(calls) == 1
+        homogenize.homogenization_data(spec, 0.16, shells=16)
+        assert len(calls) == 1

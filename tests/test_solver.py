@@ -31,6 +31,14 @@ class TestValidation:
 
 
 class TestLoadCase:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("slot", range(3))
+    def test_non_finite_rejected(self, bad, slot):
+        args = [2.0, 1.0, 0.3]
+        args[slot] = bad
+        with pytest.raises(errors.InvalidArgumentError):
+            solver.LoadCase(*args)
+
     @given(st.floats(-5, 5), st.floats(-5, 5))
     def test_plus_minus_decomposition(self, s1, s2):
         load = solver.LoadCase(s1, s2, 0.0)
@@ -39,6 +47,12 @@ class TestLoadCase:
 
 
 class TestSolution:
+    def test_nan_residual_fails_closed(self, spec, tables, monkeypatch):
+        monkeypatch.setattr(fields, "boundary_residual", lambda *args, **kwargs: float("nan"))
+        prob = solver.ProblemSpec(spec, 0.2, solver.LoadCase(2.0, 1.0, 0.0), 16)
+        with pytest.raises(errors.ConsistencyError):
+            solver.solve_coefficients(prob, tables)
+
     def test_boundary_residual_is_rounding_level(self, spec, tables):
         for ang in (0.0, np.pi / 8, np.pi / 4, -0.3):
             load = solver.LoadCase(2.0, 1.0, ang)

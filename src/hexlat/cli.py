@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -79,11 +80,12 @@ def _parse_value(key: str, raw: str):
     if key in _STR_KEYS:
         return raw
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        return float(raw)
+        value = int(raw) if key in _INT_KEYS else float(raw)
     except ValueError:
         raise ConfigurationError(f"key {key!r}: cannot parse value {raw!r}")
+    if not math.isfinite(value):
+        raise ConfigurationError(f"key {key!r}: value {raw!r} is not finite")
+    return value
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
@@ -121,7 +123,10 @@ def _resolve_geometry(cfg: dict):
     a = cfg["a"]
     if cfg["lambda"] is not None and cfg["lambda_ratio"] is not None:
         raise ConfigurationError("give lambda or lambda_ratio, not both")
-    lam = cfg["lambda"] if cfg["lambda"] is not None else (cfg["lambda_ratio"] or 0.2) * a
+    if cfg["lambda"] is not None:
+        lam = cfg["lambda"]
+    else:
+        lam = (0.2 if cfg["lambda_ratio"] is None else cfg["lambda_ratio"]) * a
     has_mn = cfg["m"] is not None or cfg["n"] is not None
     if has_mn and cfg["alpha"] is not None:
         raise ConfigurationError("give chiral indices (m, n) or alpha, not both")
@@ -144,9 +149,12 @@ def _resolve_nu(cfg: dict, default: float | None = None) -> float | None:
 
 def _float_list(raw: str, key: str) -> list[float]:
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
+        values = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         raise ConfigurationError(f"key {key!r}: cannot parse list {raw!r}")
+    if not values or not all(math.isfinite(v) for v in values):
+        raise ConfigurationError(f"key {key!r}: need one or more finite values, got {raw!r}")
+    return values
 
 
 def _g17(v: float) -> str:

@@ -15,10 +15,18 @@ Series used (a = lattice constant, c_s/d_s from `lattice`):
 N is holomorphic at the origin (its poles sit on the nonzero lattice
 translates) and N(0) = 0, so its even-order derivatives follow from
 term-wise integration with zero constants.
+
+`fold_point` reduces a point to the Voronoi cell around the origin by
+comparing only the four corners of the period parallelogram that holds
+it: that parallelogram is two equilateral triangles, and the nearest
+lattice point is always a vertex of the point's triangle.  A scalar
+point is folded in plain Python arithmetic, an array in numpy.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from math import factorial
 
@@ -89,35 +97,61 @@ def make_evaluator(sums: LatticeSums, r_min: float | None = None, r_max: float |
     return EllipticEvaluator(sums=sums, laurent_terms=terms, r_min=r_min, r_max=r_max)
 
 
-# Candidate offsets (dm, dn) in -1..2, ascending so that argmin's first
-# hit breaks distance ties by the smallest (m, n).
-_FOLD_DM, _FOLD_DN = np.array(np.divmod(np.arange(16), 4)) - 1
+# Corners (dm, dn) of the period parallelogram that holds z, in
+# ascending order so that the first minimum breaks distance ties by the
+# smallest (m, n).
+_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
+_CORNER_DM, _CORNER_DN = np.array(_CORNERS).T
+# Distances are compared in units of 1e-12 a, rounded half to even, so
+# translates within rounding of each other count as tied.
+_TIE_UNITS = 1e12
+
+
+def _cell_coordinates(z, w1: complex, w2: complex):
+    """Real (u, v) with z = u*omega1 + v*omega2, for a scalar or an array."""
+    u = (z * w2.conjugate()).imag / (w1 * w2.conjugate()).imag
+    v = (w1.conjugate() * z).imag / (w1.conjugate() * w2).imag
+    return u, v
 
 
 def fold_point(z: complex | np.ndarray, spec: LatticeSpec):
     """Reduce z to its Voronoi representative z0 = z - m*omega1 - n*omega2.
 
-    The representative is the one closest to the origin among the
-    candidate translates around the fractional coordinates; ties are
-    broken deterministically by (|z0|, m, n) ordering, with |z0|/a
-    rounded to 12 decimals.  A scalar z returns (complex, int, int); an
-    array returns arrays (z0, m, n) of its shape.
+    The representative is the translate closest to the origin among the
+    four corners of the period parallelogram holding z.  omega1 and
+    omega2 are 60 degrees apart with |omega1 - omega2| = a, so that
+    parallelogram is two equilateral triangles: the nearest lattice
+    point is a vertex of z's triangle (at most a/sqrt(3) away), and
+    every other lattice point lies at least (sqrt(3)/2)*a from it.  Ties
+    are broken deterministically by (|z0|, m, n) ordering, with |z0|/a
+    rounded to 12 decimals.  A scalar z runs in plain Python and returns
+    (complex, int, int); an array returns arrays (z0, m, n) of its shape.
     """
+    w1, w2, a = spec.omega1, spec.omega2, spec.a
+    # Python numbers are tested first: np.ndim on one costs half a scalar fold
+    if isinstance(z, (complex, float, int)) or np.ndim(z) == 0:
+        z = complex(z)
+        if not cmath.isfinite(z):
+            raise DomainError(f"cannot fold a non-finite point {z}")
+        u, v = _cell_coordinates(z, w1, w2)
+        m0, n0 = math.floor(u), math.floor(v)
+        best = None
+        for dm, dn in _CORNERS:
+            m, n = m0 + dm, n0 + dn
+            z0 = z - m * w1 - n * w2
+            key = round(abs(z0) / a * _TIE_UNITS)
+            if best is None or key < best[0]:
+                best = key, z0, m, n
+        return best[1:]
     za = np.asarray(z, dtype=complex)
     if not np.isfinite(za).all():
         raise DomainError(f"cannot fold a non-finite point {z}")
-    w1, w2 = spec.omega1, spec.omega2
-    zf = za.reshape(-1, 1)
-    tm = np.imag(zf * np.conj(w2)) / np.imag(w1 * np.conj(w2))
-    tn = np.imag(np.conj(w1) * zf) / np.imag(np.conj(w1) * w2)
-    m = np.floor(tm).astype(int) + _FOLD_DM
-    n = np.floor(tn).astype(int) + _FOLD_DN
-    cand = zf - m * w1 - n * w2
-    pick = np.arange(len(cand)), np.argmin(np.round(np.abs(cand) / spec.a, 12), axis=1)
-    z0, m, n = (v[pick].reshape(za.shape) for v in (cand, m, n))
-    if za.ndim == 0:
-        return complex(z0), int(m), int(n)
-    return z0, m, n
+    u, v = _cell_coordinates(za.reshape(-1, 1), w1, w2)
+    m = np.floor(u).astype(int) + _CORNER_DM
+    n = np.floor(v).astype(int) + _CORNER_DN
+    cand = za.reshape(-1, 1) - m * w1 - n * w2
+    pick = np.arange(len(cand)), np.argmin(np.rint(np.abs(cand) / a * _TIE_UNITS), axis=1)
+    return tuple(arr[pick].reshape(za.shape) for arr in (cand, m, n))
 
 
 def _check_annulus(z: complex, ev: EllipticEvaluator):

@@ -2,16 +2,24 @@
 
 Total fields are the uniform remote state plus the doubly-periodic
 corrective potentials.  Every field function, the rim-residual arbiter
-included, evaluates through one array evaluator: it folds the points
-into the Voronoi cell around the origin (`fold_point` takes arrays),
+included, evaluates through one evaluator: it folds the points into the
+Voronoi cell around the origin (`fold_point`, four-corner search),
 evaluates all five potentials at once as one product of a power matrix
 with the solution's collapsed series matrix, and restores the
 quasi-periodic increments analytically.  Periodicity is therefore exact
 by construction and evaluation is valid everywhere outside the holes.
+
+An array of points takes the vectorised path.  A single point, as
+`total_stress` and `total_displacement` take, stays in plain Python
+numbers (`cmath`/`math`, Python complex lattice periods) around that
+one series product, because numpy's per-call overhead on a scalar costs
+more than the arithmetic itself.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,10 +84,10 @@ class CellGeometry:
 
 
 def uniform_polar_stress(r: float, theta: float, load: LoadCase) -> tuple[float, float]:
-    """Polar traction components of the uniform remote state."""
+    """Polar traction components of the uniform remote state (finite theta)."""
     psi = theta - load.alpha
-    sr = load.sigma_plus + load.sigma_minus * np.cos(2 * psi)
-    tau = -load.sigma_minus * np.sin(2 * psi)
+    sr = load.sigma_plus + load.sigma_minus * math.cos(2 * psi)
+    tau = -load.sigma_minus * math.sin(2 * psi)
     return float(sr), float(tau)
 
 
@@ -88,29 +96,37 @@ def _potentials(
 ):
     """(Phi, Phi', Psi, phi, psi) of the corrective problem at the points z.
 
-    Arrays of the shape of z; folding and the quasi-periodic increments
-    are those that `potentials_eval` and `displacement_potentials` state.
+    Arrays of the shape of z, or Python complex for a scalar z, whose
+    arithmetic stays in plain Python around the one series product.
+    Folding and the quasi-periodic increments are those that
+    `potentials_eval` and `displacement_potentials` state.
     """
     sums = tables.sums
-    z = np.asarray(z, dtype=complex)
-    z0, m, n = fold_point(z, sums.spec) if fold else (z, 0, 0)
-    z0 = np.asarray(z0)
-    inside = np.abs(z0) < tables.lam * (1 - 1e-12)
-    if inside.any():
+    spec = sums.spec
+    z0, m, n = fold_point(z, spec) if fold else (z, 0, 0)
+    scalar = isinstance(z0, complex) or np.ndim(z0) == 0
+    r0 = abs(z0)
+    inside = r0 < tables.lam * (1 - 1e-12)
+    if inside if scalar else inside.any():
         i = np.flatnonzero(inside)[0]
         raise DomainError(
-            f"point {z.flat[i]} lies inside a hole (folded |z0| = {abs(z0.flat[i]):.6g})"
+            f"point {np.ravel(z)[i]} lies inside a hole (folded |z0| = {np.ravel(r0)[i]:.6g})"
         )
-    v = (z0 * z0)[..., None] ** coeffs.powers @ coeffs.series
-    phi, phi_d = v[..., 0], v[..., 2] / z0
-    w = m * sums.spec.omega1 + n * sums.spec.omega2
+    v = np.power.outer(z0 * z0, coeffs.powers) @ coeffs.series
+    # the five columns: Python complex for a point, (shape of z) views for an
+    # array (transpose is several times cheaper than np.moveaxis here)
+    v = v.tolist() if scalar else v.transpose(-1, *range(v.ndim - 1))
+    phi, phi_d = v[0], v[2] / z0
+    w = m * spec.omega1 + n * spec.omega2
+    wc = w.conjugate()
     dw = (m * sums.delta1 + n * sums.delta2) * tables.lam**2
+    alpha1, beta1 = complex(coeffs.alpha[0]), complex(coeffs.beta[0])
     return (
         phi,
         phi_d,
-        v[..., 1] - np.conj(w) * phi_d,
-        z0 * v[..., 3] + coeffs.alpha0 * w - coeffs.alpha[0] * dw,
-        z0 * v[..., 4] + coeffs.beta0 * w - coeffs.beta[0] * dw - np.conj(w) * (phi - coeffs.alpha0),
+        v[1] - wc * phi_d,
+        z0 * v[3] + coeffs.alpha0 * w - alpha1 * dw,
+        z0 * v[4] + coeffs.beta0 * w - beta1 * dw - wc * (phi - coeffs.alpha0),
     )
 
 
@@ -148,27 +164,30 @@ def total_stress(
     coeffs: PotentialCoefficients,
     tables: SeriesTables,
 ) -> FieldSample:
-    """Total stresses at the polar point (r, theta) of the central cell."""
-    z = r * np.exp(1j * theta)
+    """Total stresses at the polar point (r, theta) of the central cell.
+
+    A non-finite r or theta, or a point inside a hole, raises DomainError.
+    """
+    if not (math.isfinite(r) and math.isfinite(theta)):
+        raise DomainError(f"polar point (r, theta) = ({r}, {theta}) is not finite")
+    rot = cmath.exp(2j * theta)
+    z = r * cmath.exp(1j * theta)
     load = prob.load
     phi, phi_d, psi, _, _ = _potentials(z, coeffs, tables)
     srk, tauk = uniform_polar_stress(r, theta, load)
-    pol = srk - 1j * tauk + 2 * np.real(phi) - (np.conj(z) * phi_d + psi) * np.exp(2j * theta)
-    sigma_r = float(np.real(pol))
-    tau_rt = -float(np.imag(pol))
+    pol = srk - 1j * tauk + 2 * phi.real - (z.conjugate() * phi_d + psi) * rot
+    sigma_r = float(pol.real)
+    tau_rt = -float(pol.imag)
     # Cartesian components from the total potentials (corrective + uniform)
     phi_t = phi + load.sigma_plus / 2
-    psi_t = psi - load.sigma_minus * np.exp(-2j * load.alpha)
-    trace = 4 * np.real(phi_t)
-    dev = 2 * (np.conj(z) * phi_d + psi_t)
-    sigma_x = float((trace - np.real(dev)) / 2)
-    sigma_y = float((trace + np.real(dev)) / 2)
-    tau_xy = float(np.imag(dev) / 2)
-    sigma_theta = float(trace - sigma_r)
+    psi_t = psi - load.sigma_minus * cmath.exp(-2j * load.alpha)
+    trace = 4 * phi_t.real
+    dev = 2 * (z.conjugate() * phi_d + psi_t)
     return FieldSample(
         r=float(r), theta=float(theta), z=complex(z),
-        sigma_r=sigma_r, tau_rtheta=tau_rt, sigma_theta=sigma_theta,
-        sigma_x=sigma_x, sigma_y=sigma_y, tau_xy=tau_xy,
+        sigma_r=sigma_r, tau_rtheta=tau_rt, sigma_theta=float(trace - sigma_r),
+        sigma_x=float((trace - dev.real) / 2), sigma_y=float((trace + dev.real) / 2),
+        tau_xy=float(dev.imag / 2),
     )
 
 
@@ -192,12 +211,12 @@ def total_displacement(
     phi_big, _, _, phi, psi = _potentials(z, coeffs, tables)
     disp = (
         (kappa - 1.0) / 4.0 * (load.sigma1 + load.sigma2) * z
-        + load.sigma_minus * np.exp(2j * load.alpha) * np.conj(z)
+        + load.sigma_minus * cmath.exp(2j * load.alpha) * z.conjugate()
         + kappa * phi
-        - z * np.conj(phi_big)
-        - np.conj(psi)
+        - z * phi_big.conjugate()
+        - psi.conjugate()
     )
-    return float(np.real(disp)), float(np.imag(disp))
+    return float(disp.real), float(disp.imag)
 
 
 def boundary_residual(

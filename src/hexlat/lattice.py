@@ -15,6 +15,8 @@ remainder, as a square index window would.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +67,9 @@ def chiral_angle(m: int, n: int) -> float:
 
 
 def _periods(a: float) -> tuple[complex, complex]:
-    omega1 = a * np.sqrt(3) / 2 - 1j * a / 2
-    return omega1, np.conj(omega1)
+    # Python complex, not numpy scalars: one-point folds do plain arithmetic
+    omega1 = complex(a * math.sqrt(3) / 2, -a / 2)
+    return omega1, omega1.conjugate()
 
 
 def build_lattice(a: float, m: int, n: int) -> LatticeSpec:
@@ -245,7 +248,9 @@ def compute_lattice_sums(
     seeded by the direct c_3 (exact, cancellation-free); "direct" sums
     everything term by term and serves as the oracle.  Raises
     PrecisionError when the outermost ring still contributes more than
-    tail_tol of the slowest sums.
+    tail_tol of the slowest sums, and InvalidArgumentError when the
+    rescaling to spec.a cannot be represented (a^(+-2 s_max) not a
+    finite, normal double).
     """
     if s_max < 3:
         raise InvalidArgumentError(f"s_max must be >= 3, got {s_max}")
@@ -253,6 +258,16 @@ def compute_lattice_sums(
         raise InvalidArgumentError(f"shells must be >= 2, got {shells}")
     if method not in ("hybrid", "direct"):
         raise InvalidArgumentError(f"unknown method {method!r}")
+    a = spec.a
+    try:
+        extremes = (a ** (2.0 * s_max), a ** (-2.0 * s_max))
+    except OverflowError:
+        extremes = (math.inf,)
+    if not all(sys.float_info.min <= v <= sys.float_info.max for v in extremes):
+        raise InvalidArgumentError(
+            f"lattice constant a = {a:g} is out of range for s_max = {s_max}: "
+            f"a^(+-{2 * s_max}) is not a finite, normal double"
+        )
 
     c, d, tail = _raw_sums(s_max, shells)
     if tail > tail_tol:
@@ -272,7 +287,6 @@ def compute_lattice_sums(
     delta = float(np.real(np.conj(delta1) / _periods(1.0)[0]))
 
     # rescale from the a = 1 lattice to the physical one
-    a = spec.a
     s_idx = np.arange(s_max + 1)
     scale = a ** (-2.0 * s_idx)
     return LatticeSums(

@@ -190,13 +190,16 @@ def _assemble_and_solve(tables: SeriesTables, load: LoadCase) -> tuple[np.ndarra
     rhs_i = np.zeros(K)
     rhs_i[0] = -sm * np.sin(2 * ang)
 
-    cond = max(float(np.linalg.cond(Mr)), float(np.linalg.cond(Mi)))
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise NumericalError(
-            f"truncated system is numerically singular (cond ~ {cond:.3e})", condition=cond
-        )
-    ar = np.linalg.solve(Mr, rhs_r)
-    ai = np.linalg.solve(Mi, rhs_i)
+    try:
+        cond = max(float(np.linalg.cond(Mr)), float(np.linalg.cond(Mi)))
+        if not np.isfinite(cond) or cond > _COND_LIMIT:
+            raise NumericalError(
+                f"truncated system is numerically singular (cond ~ {cond:.3e})", condition=cond
+            )
+        ar = np.linalg.solve(Mr, rhs_r)
+        ai = np.linalg.solve(Mi, rhs_i)
+    except np.linalg.LinAlgError as exc:  # SVD or factorisation breakdown (non-finite entries)
+        raise NumericalError(f"truncated system cannot be solved: {exc}") from exc
     beta1 = (-sp - 2.0 * float(np.sum(pw * r[0, :K] * ar))) / (b - 1.0)
     return ar + 1j * ai, beta1, cond
 

@@ -2,9 +2,13 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hexlat import fields
 from hexlat.cli import load_config, main
@@ -63,6 +67,119 @@ class TestConfig:
         code, out = run(tmp_path, "solve", "a=1", load)
         assert code == 2
         assert not (out / "check.json").exists()
+
+    @pytest.mark.parametrize("args", [
+        ("sums", "a=1e5"),
+        ("solve", "a=1e-5"),
+        ("solve", "a=1e20"),
+        ("field", "a=1e10"),
+        ("solve", "a=1e150"),
+        ("solve", "a=1e5"),
+    ])
+    def test_unrepresentable_lattice_constant(self, tmp_path, args):
+        # the a^(-2s) rescaling of the lattice sums over- or underflows
+        code, out = run(tmp_path, *args)
+        assert code == 2
+        assert not (out / "check.json").exists()
+
+    @pytest.mark.parametrize("args", [("field", "alphas="), ("sweep", "r_factors=")])
+    def test_empty_list(self, tmp_path, args):
+        code, out = run(tmp_path, args[0], "a=1", args[1])
+        assert code == 2
+        assert not (out / "field.csv").exists()
+
+    def test_zero_hole_radius_is_not_the_default(self, tmp_path):
+        assert run(tmp_path, "solve", "a=1", "lambda_ratio=0")[0] == 2
+
+    @pytest.mark.parametrize("args", [
+        ("sums", "a=nan"),
+        ("sums", "theta=-inf"),
+        ("sums", "lambda_ratio=inf"),
+        ("field", "alphas=0.1,nan"),
+        ("sweep", "r_factors=1,inf"),
+    ])
+    def test_non_finite_value(self, tmp_path, args):
+        code, out = run(tmp_path, *args)
+        assert code == 2
+        assert not (out / "check.json").exists()
+
+    def test_non_finite_theta(self, tmp_path):
+        assert run(tmp_path, "field", "a=1", "theta=inf")[0] == 2
+
+
+def _strict_json(path):
+    """Parse a JSON artifact, refusing the non-standard NaN/Infinity."""
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def _numbers(doc):
+    if isinstance(doc, dict):
+        return [x for v in doc.values() for x in _numbers(v)]
+    if isinstance(doc, list):
+        return [x for v in doc for x in _numbers(v)]
+    return [doc] if isinstance(doc, (int, float)) and not isinstance(doc, bool) else []
+
+
+_SPECIAL = ("nan", "inf", "-inf")
+# (key, low, high) of the float keys a run may set
+_FLOAT_KEYS = (
+    ("sigma1", -10, 10),
+    ("sigma2", -10, 10),
+    ("alpha", -4, 4),
+    ("lambda_ratio", 0.01, 0.6),
+    ("theta", -7, 7),
+)
+_INT_KEYS = (("K", 4, 20), ("shells", 2, 64), ("s_max", 3, 40), ("n_r", 2, 4))
+
+
+@st.composite
+def _runs(draw):
+    """One command line: a log-uniform (or typical) lattice constant, some
+    in-range keys, and at most one key set to a non-finite value or an
+    empty list."""
+    command = draw(st.sampled_from(["sums", "solve", "field"]))
+    a = draw(st.one_of(st.floats(-30, 30).map(lambda e: 10.0**e), st.sampled_from([1.0, 246.0])))
+    args = [command, f"a={a!r}"]
+    for key, lo, hi in _FLOAT_KEYS:
+        if draw(st.booleans()):
+            args.append(f"{key}={draw(st.floats(lo, hi))!r}")
+    for key, lo, hi in _INT_KEYS:
+        if draw(st.booleans()):
+            args.append(f"{key}={draw(st.integers(lo, hi))}")
+    if draw(st.booleans()):
+        alphas = draw(st.lists(st.floats(-4, 4), min_size=1, max_size=2))
+        args.append("alphas=" + ",".join(map(repr, alphas)))
+    if draw(st.integers(0, 3)) == 0:
+        key = draw(st.sampled_from(["a", *(k for k, _, _ in _FLOAT_KEYS), "alphas"]))
+        args.append(f"{key}={draw(st.sampled_from(_SPECIAL + ('',)))}")
+    return args
+
+
+class TestExitContract:
+    @given(_runs())
+    @example(["sums", "a=1.0", "alpha=nan"])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_documented_exit_and_finite_ok_documents(self, args):
+        # every run exits with a documented code; an "ok" run's documents
+        # are strict JSON holding finite numbers only
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            code = main([*args, "--out", str(out)])
+            assert code in (0, 2, 3, 4)
+            check = out / "check.json"
+            if code == 0 or check.exists():
+                doc = _strict_json(check)
+                assert (doc["status"] == "ok") == (code == 0)
+            if code == 0:
+                assert all(math.isfinite(x) for x in _numbers(doc))
+                if args[0] == "solve":
+                    assert all(math.isfinite(x) for x in _numbers(_strict_json(out / "coeffs.json")))
+                for csv in out.glob("*.csv"):
+                    assert np.isfinite(read_csv(csv)[1]).all(), csv.name
 
 
 class TestSums:

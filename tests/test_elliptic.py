@@ -123,7 +123,8 @@ class TestFolding:
         shifted = [t + m * w1 + n * w2 for t in ties for m in (-2, 1) for n in (-1, 2)]
         rng = np.random.default_rng(17)
         rand = rng.uniform(-3, 3, 200) + 1j * rng.uniform(-3, 3, 200)
-        z = np.array(ties + shifted + list(rand))
+        near = _near_voronoi_boundary(spec)
+        z = np.array(ties + shifted + list(rand) + near)
         z0, m, n = elliptic.fold_point(z, spec)
         for i, zi in enumerate(z):
             ref = _fold_brute_force(zi, spec)
@@ -143,6 +144,23 @@ class TestFolding:
         for bad in (complex(np.nan, 0.0), np.array([0.1, np.inf])):
             with pytest.raises(errors.DomainError):
                 elliptic.fold_point(bad, spec)
+
+
+def _near_voronoi_boundary(spec):
+    """Points within 1e-13 a of the Voronoi edges and vertices of the
+    cell around the origin, and of one translate of that cell."""
+    a, w1, w2 = spec.a, spec.omega1, spec.omega2
+    eps = (1e-13, -1e-13, 3e-14, -4e-15)
+    pts = []
+    for k in range(6):
+        mid = 0.5j * a * np.exp(1j * np.pi / 3 * k)  # edge midpoint, normal direction mid/|mid|
+        normal, tangent = mid / abs(mid), 1j * mid / abs(mid)
+        half = a / (2 * np.sqrt(3))  # half the edge length
+        for t in (-0.999999, -0.5, 0.0, 0.37, 0.999999):
+            pts += [mid + t * half * tangent + e * a * normal for e in eps]
+        vertex = a / np.sqrt(3) * np.exp(1j * np.pi / 3 * k)
+        pts += [vertex + 1e-13 * a * np.exp(1j * (np.pi / 4 * j + 0.1)) for j in range(8)]
+    return pts + [p + 2 * w1 - w2 for p in pts]
 
 
 def _fold_brute_force(z, spec):

@@ -72,6 +72,40 @@ def _evaluator_points(spec, lam, count=60, seed=29):
     return np.array(pts + rim + vertices)
 
 
+def _oracle_stress(r, theta, prob, coeffs, tables):
+    """(sigma_r, tau, sigma_theta, sigma_x, sigma_y, tau_xy) by the numpy
+    formulas that total_stress used on numpy scalars, evaluated through
+    the array path of the evaluator."""
+    z = r * np.exp(1j * theta)
+    load = prob.load
+    phi, phi_d, psi, _, _ = (v[0] for v in fields._potentials(np.array([z]), coeffs, tables))
+    ang = theta - load.alpha
+    srk = load.sigma_plus + load.sigma_minus * np.cos(2 * ang)
+    tauk = -load.sigma_minus * np.sin(2 * ang)
+    pol = srk - 1j * tauk + 2 * np.real(phi) - (np.conj(z) * phi_d + psi) * np.exp(2j * theta)
+    trace = 4 * np.real(phi + load.sigma_plus / 2)
+    dev = 2 * (np.conj(z) * phi_d + psi - load.sigma_minus * np.exp(-2j * load.alpha))
+    return (
+        np.real(pol), -np.imag(pol), trace - np.real(pol),
+        (trace - np.real(dev)) / 2, (trace + np.real(dev)) / 2, np.imag(dev) / 2,
+    )
+
+
+def _oracle_displacement(z, prob, coeffs, tables, nu):
+    """(2G u, 2G v) by the former numpy formula on the array path."""
+    load = prob.load
+    kappa = (3.0 - nu) / (1.0 + nu)
+    phi_big, _, _, phi, psi = (v[0] for v in fields._potentials(np.array([z]), coeffs, tables))
+    disp = (
+        (kappa - 1.0) / 4.0 * (load.sigma1 + load.sigma2) * z
+        + load.sigma_minus * np.exp(2j * load.alpha) * np.conj(z)
+        + kappa * phi
+        - z * np.conj(phi_big)
+        - np.conj(psi)
+    )
+    return np.real(disp), np.imag(disp)
+
+
 class TestCellGeometry:
     def test_vertex_and_edge_distances(self):
         a = 1.0
@@ -141,9 +175,11 @@ class TestEvaluator:
         z = _evaluator_points(spec, prob.lam, seed=31)
         batch = fields._potentials(z, coeffs, tables)
         single = np.array([fields._potentials(zi, coeffs, tables) for zi in z]).T
-        for got, ref in zip(batch, single):
+        grid = fields._potentials(z.reshape(8, -1), coeffs, tables)
+        for got, ref, got2d in zip(batch, single, grid):
             assert got.shape == z.shape
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+            assert np.array_equal(got2d, got.reshape(8, -1))
 
     def test_public_wrappers_share_the_evaluator(self, spec, solved, tables):
         prob, coeffs = solved
@@ -187,6 +223,46 @@ class TestEvaluator:
         series[3, 0] = np.nan
         broken = dataclasses.replace(coeffs, series=series)
         assert np.isnan(fields.boundary_residual(prob, broken, tables))
+
+
+class TestScalarPath:
+    """total_stress / total_displacement run one point in plain Python."""
+
+    def test_matches_array_oracle(self, spec, solved, tables):
+        prob, coeffs = solved
+        scale = max(abs(prob.load.sigma1), abs(prob.load.sigma2))
+        nu = 0.2668
+        for z in _evaluator_points(spec, prob.lam, seed=43):
+            r, th = abs(z), float(np.angle(z))
+            f = fields.total_stress(r, th, prob, coeffs, tables)
+            got = (f.sigma_r, f.tau_rtheta, f.sigma_theta, f.sigma_x, f.sigma_y, f.tau_xy)
+            ref = _oracle_stress(r, th, prob, coeffs, tables)
+            assert max(abs(g - e) for g, e in zip(got, ref)) <= 1e-13 * scale, z
+            u, v = fields.total_displacement(f.z, prob, coeffs, tables, nu)
+            ru, rv = _oracle_displacement(f.z, prob, coeffs, tables, nu)
+            assert max(abs(u - ru), abs(v - rv)) <= 1e-13 * scale, z
+
+    def test_returns_python_scalars(self, solved, tables):
+        prob, coeffs = solved
+        f = fields.total_stress(0.3, 0.4, prob, coeffs, tables)
+        assert type(f.z) is complex
+        assert all(type(v) is float for v in (f.sigma_r, f.tau_rtheta, f.sigma_x, f.tau_xy))
+        assert all(type(v) is float for v in fields.total_displacement(f.z, prob, coeffs, tables, 0.3))
+        assert all(type(v) is complex for v in fields._potentials(f.z, coeffs, tables))
+
+    @pytest.mark.parametrize("r, theta", [
+        (np.nan, 0.1), (np.inf, 0.1), (0.3, np.inf), (0.3, -np.inf), (0.3, np.nan),
+    ])
+    def test_non_finite_polar_point(self, solved, tables, r, theta):
+        prob, coeffs = solved
+        with pytest.raises(errors.DomainError):
+            fields.total_stress(r, theta, prob, coeffs, tables)
+
+    @pytest.mark.parametrize("z", [complex(np.nan, 0.1), complex(0.3, np.inf)])
+    def test_non_finite_displacement_point(self, solved, tables, z):
+        prob, coeffs = solved
+        with pytest.raises(errors.DomainError):
+            fields.total_displacement(z, prob, coeffs, tables, 0.3)
 
 
 class TestBoundary:

@@ -112,6 +112,16 @@ class TestLatticeSums:
             lattice.compute_lattice_sums(spec, s_max=3, shells=4)
         assert exc.value.tail is not None
 
+    @pytest.mark.parametrize("a, s_max", [(1e5, 40), (1e-5, 40), (1e150, 3), (np.inf, 3)])
+    def test_unrepresentable_scale_rejected(self, a, s_max):
+        # a^(+-2 s_max) must be a finite, normal double
+        with pytest.raises(errors.InvalidArgumentError, match="out of range"):
+            lattice.compute_lattice_sums(lattice.build_lattice(a, 1, 1), s_max=s_max, shells=8)
+
+    def test_large_constant_with_few_orders_accepted(self):
+        sums = lattice.compute_lattice_sums(lattice.build_lattice(1e5, 1, 1), s_max=9, shells=16)
+        assert np.isfinite(sums.c).all() and sums.c[9] != 0.0
+
     def test_bad_method(self, spec):
         with pytest.raises(errors.InvalidArgumentError):
             lattice.compute_lattice_sums(spec, method="magic")

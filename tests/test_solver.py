@@ -1,5 +1,7 @@
 """Truncated systems, closed-form coefficient chains, structural zeros."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,15 @@ class TestSolution:
         prob = solver.ProblemSpec(spec, 0.2, solver.LoadCase(2.0, 1.0, 0.0), 16)
         with pytest.raises(errors.ConsistencyError):
             solver.solve_coefficients(prob, tables)
+
+    def test_linear_algebra_breakdown_is_numerical_error(self, spec, tables):
+        # a NaN system entry makes numpy's SVD fail to converge
+        dplus = tables.dplus.copy()
+        dplus[1, 2] = np.nan
+        broken = dataclasses.replace(tables, dplus=dplus)
+        prob = solver.ProblemSpec(spec, 0.2, solver.LoadCase(2.0, 1.0, 0.0), 16)
+        with pytest.raises(errors.NumericalError):
+            solver.solve_coefficients(prob, broken)
 
     def test_boundary_residual_is_rounding_level(self, spec, tables):
         for ang in (0.0, np.pi / 8, np.pi / 4, -0.3):

@@ -115,6 +115,9 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     for key in _COUNT_KEYS:
         if cfg[key] < 2:
             raise ConfigurationError(f"key {key!r}: need at least 2 samples, got {cfg[key]}")
+    # checked for every command; the config keeps (and check.json echoes) the string
+    for key in ("alphas", "r_factors"):
+        _float_list(cfg[key], key)
     return cfg
 
 

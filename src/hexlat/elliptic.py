@@ -107,10 +107,15 @@ _CORNER_DM, _CORNER_DN = np.array(_CORNERS).T
 _TIE_UNITS = 1e12
 
 
-def _cell_coordinates(z, w1: complex, w2: complex):
-    """Real (u, v) with z = u*omega1 + v*omega2, for a scalar or an array."""
-    u = (z * w2.conjugate()).imag / (w1 * w2.conjugate()).imag
-    v = (w1.conjugate() * z).imag / (w1.conjugate() * w2).imag
+def _cell_coordinates(z, w1: complex, w2: complex, a: float):
+    """Real (u, v) with z = u*omega1 + v*omega2, for a scalar or an array.
+
+    One factor of each product is taken in cell units (divided by a):
+    in physical units omega1*conj(omega2) ~ a^2 overflows for a >~ 1e154.
+    """
+    w1c, w2c = w1.conjugate() / a, w2.conjugate() / a
+    u = (z * w2c).imag / (w1 * w2c).imag
+    v = (w1c * z).imag / (w1c * w2).imag
     return u, v
 
 
@@ -133,7 +138,7 @@ def fold_point(z: complex | np.ndarray, spec: LatticeSpec):
         z = complex(z)
         if not cmath.isfinite(z):
             raise DomainError(f"cannot fold a non-finite point {z}")
-        u, v = _cell_coordinates(z, w1, w2)
+        u, v = _cell_coordinates(z, w1, w2, a)
         m0, n0 = math.floor(u), math.floor(v)
         best = None
         for dm, dn in _CORNERS:
@@ -146,7 +151,7 @@ def fold_point(z: complex | np.ndarray, spec: LatticeSpec):
     za = np.asarray(z, dtype=complex)
     if not np.isfinite(za).all():
         raise DomainError(f"cannot fold a non-finite point {z}")
-    u, v = _cell_coordinates(za.reshape(-1, 1), w1, w2)
+    u, v = _cell_coordinates(za.reshape(-1, 1), w1, w2, a)
     m = np.floor(u).astype(int) + _CORNER_DM
     n = np.floor(v).astype(int) + _CORNER_DN
     cand = za.reshape(-1, 1) - m * w1 - n * w2

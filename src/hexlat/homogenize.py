@@ -128,7 +128,7 @@ def homogenization_data(
         from .lattice import compute_lattice_sums
 
         sums = compute_lattice_sums(spec, s_max=max(40, 2 * K + 2), shells=shells)
-    plus, minus = unit_load_coefficients(spec, lam, K=K, sums=sums, shells=shells)
+    plus, minus = unit_load_coefficients(spec, lam, K=K, sums=sums)
     vals = {
         "alpha0_plus": plus.alpha0,
         "beta1_plus": plus.beta[0],

@@ -36,6 +36,9 @@ __all__ = [
 
 # Relative size below which an outer ring's contribution counts as converged.
 _RING_EPS = 1e-16
+# Largest ring count accepted: the sums build (2*shells+1)^2 index grids up
+# to 2*shells rings (about 2 s and 360 MB at the cap).
+_MAX_SHELLS = 512
 
 
 @dataclass(frozen=True)
@@ -248,14 +251,14 @@ def compute_lattice_sums(
     seeded by the direct c_3 (exact, cancellation-free); "direct" sums
     everything term by term and serves as the oracle.  Raises
     PrecisionError when the outermost ring still contributes more than
-    tail_tol of the slowest sums, and InvalidArgumentError when the
-    rescaling to spec.a cannot be represented (a^(+-2 s_max) not a
-    finite, normal double).
+    tail_tol of the slowest sums, and InvalidArgumentError when shells
+    lies outside [2, 512] or the rescaling to spec.a cannot be
+    represented (a^(+-2 s_max) not a finite, normal double).
     """
     if s_max < 3:
         raise InvalidArgumentError(f"s_max must be >= 3, got {s_max}")
-    if shells < 2:
-        raise InvalidArgumentError(f"shells must be >= 2, got {shells}")
+    if not 2 <= shells <= _MAX_SHELLS:
+        raise InvalidArgumentError(f"shells must lie in [2, {_MAX_SHELLS}], got {shells}")
     if method not in ("hybrid", "direct"):
         raise InvalidArgumentError(f"unknown method {method!r}")
     a = spec.a

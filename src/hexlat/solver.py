@@ -6,6 +6,12 @@ The remaining coefficients follow in closed form: beta_1 from the
 sigma_+ balance, beta_{j+1} from the alpha's, and alpha_0/beta_0 from
 the cyclic-constant relations.
 
+The systems are assembled from the lam-scaled table
+rhat[j, k] = lam^(2s) r[j, k], s = j+k+1.  Its entries depend only on
+lam/a, so the system matrices are dimensionless and no power of lam
+above lam^(2 s_max) is formed: weighting physical-unit tables by
+lam^(2j+2k) and lam^(4m) instead overflows at K ~ 38 when a = 246.
+
 Sign conventions that the source derivation leaves ambiguous (the
 b*delta_j1 coupling in the imaginary system and the index on the
 beta_{j+1} relation) are pinned by the boundary-residual arbiter in
@@ -21,7 +27,7 @@ from math import isfinite, lgamma
 import numpy as np
 
 from .errors import ConfigurationError, ConsistencyError, InvalidArgumentError, NumericalError
-from .lattice import LatticeSpec, LatticeSums, compute_lattice_sums
+from .lattice import LatticeSpec, LatticeSums
 
 __all__ = [
     "LoadCase",
@@ -82,10 +88,15 @@ class ProblemSpec:
 class SeriesTables:
     """r/rho coefficient tables and the d+- system matrices for one lam.
 
-    r and rho are (T x T) with T = K+1 rows/columns indexed from 0;
-    entries beyond the available sum order are zero (their couplings
-    carry lambda^(2j+2k) weights and are negligible).  dplus/dminus are
-    (K+1 x K+1) with rows/columns 1..K meaningful.
+    r and rho are (T x T) with T = max(K+1, s_max), rows/columns
+    indexed from 0, in physical units (r[j, k] ~ a^-(2j+2k+2)); entries
+    beyond the available sum order s = j+k+1 <= s_max are zero.  rhat is
+    the dimensionless lam^(2j+2k+2) * r.
+
+    dplus/dminus are the (K x K) weighted matrices lam^(2j+2k) d+-, with
+    row/column j-1 for j = 1..K; they are dimensionless.  inner_tail is
+    the largest last term (m = K) of their cross sums over m, in the same
+    dimensionless units: a bound on the size of the truncated couplings.
     """
 
     sums: LatticeSums
@@ -93,6 +104,7 @@ class SeriesTables:
     K: int
     r: np.ndarray
     rho: np.ndarray
+    rhat: np.ndarray
     b: float
     dplus: np.ndarray
     dminus: np.ndarray
@@ -121,11 +133,6 @@ class PotentialCoefficients:
     powers: np.ndarray
 
 
-def _fact_quot(num: int, den1: int, den2: int) -> float:
-    """num! / (den1! den2!) in floating point via log-gamma."""
-    return float(np.exp(lgamma(num + 1) - lgamma(den1 + 1) - lgamma(den2 + 1)))
-
-
 def series_tables(sums: LatticeSums, lam: float, K: int) -> SeriesTables:
     """Build the Laurent tables and system matrices for hole radius lam."""
     a = sums.spec.a
@@ -136,56 +143,47 @@ def series_tables(sums: LatticeSums, lam: float, K: int) -> SeriesTables:
             f"lattice sums reach s_max = {sums.s_max}, need at least K+2 = {K + 2}"
         )
     T = max(K + 1, sums.s_max)
-    r = np.zeros((T, T))
-    rho = np.zeros((T, T))
-    for j in range(T):
-        for k in range(T):
-            s = j + k + 1
-            if 2 <= s <= sums.s_max:
-                r[j, k] = _fact_quot(2 * k + 2 * j, 2 * k + 1, 2 * j) * sums.c[s]
-                rho[j, k] = _fact_quot(2 * k + 2 + 2 * j, 2 * k + 1, 2 * j) * sums.d[s]
+    jk = np.add.outer(np.arange(T), np.arange(T))
+    j, k = np.nonzero((jk >= 1) & (jk < sums.s_max))  # orders 2 <= s = j+k+1 <= s_max
+    s = j + k + 1
+    log_fact = np.array([lgamma(n + 1) for n in range(2 * sums.s_max + 1)])
+    quot_c = np.exp(log_fact[2 * k + 2 * j] - log_fact[2 * k + 1] - log_fact[2 * j])
+    quot_d = np.exp(log_fact[2 * k + 2 + 2 * j] - log_fact[2 * k + 1] - log_fact[2 * j])
+    c, d = sums.c[s], sums.d[s]
+    lam2s = lam ** (2.0 * s)  # finite: lam < a/2, and a^(2 s_max) passed the range check
+    r, rho, rhat, rhohat = (np.zeros((T, T)) for _ in range(4))
+    r[j, k] = quot_c * c
+    rho[j, k] = quot_d * d
+    rhat[j, k] = quot_c * (c * lam2s)
+    rhohat[j, k] = quot_d * (d * lam2s)
 
     b = 2 * np.pi * lam**2 / (np.sqrt(3) * a**2)
-    lam2 = lam * lam
-    dplus = np.zeros((K + 1, K + 1))
-    dminus = np.zeros((K + 1, K + 1))
-    mm = np.arange(1, K + 1)
-    wts = lam ** (4.0 * mm)
-    inner_tail = 0.0
-    for j in range(1, K + 1):
-        for k in range(1, K + 1):
-            base = (1 - 2 * j) * r[j, k - 1] - (1 + 2 * k) * r[j - 1, k] + rho[j - 1, k - 1] / lam2
-            inner = wts * r[j - 1, mm] * r[mm, k - 1]
-            cross = float(np.sum(inner))
-            if inner.size:
-                inner_tail = max(inner_tail, abs(inner[-1]))
-            dplus[j, k] = base + cross
-            dminus[j, k] = base - cross
+    # lam^(2j+2k) d+-[j, k] for j, k = 1..K; the cross sums run over m = 1..K
+    jj = np.arange(1, K + 1)
+    base = (1 - 2 * jj)[:, None] * rhat[1 : K + 1, :K] - (1 + 2 * jj) * rhat[:K, 1 : K + 1]
+    base += rhohat[:K, :K]
+    cross = rhat[:K, 1 : K + 1] @ rhat[1 : K + 1, :K]
+    inner_tail = float(np.max(np.abs(rhat[:K, K])) * np.max(np.abs(rhat[K, :K])))
     return SeriesTables(
-        sums=sums, lam=lam, K=K, r=r, rho=rho, b=b,
-        dplus=dplus, dminus=dminus, inner_tail=inner_tail,
+        sums=sums, lam=lam, K=K, r=r, rho=rho, rhat=rhat, b=b,
+        dplus=base + cross, dminus=base - cross, inner_tail=inner_tail,
     )
 
 
 def _assemble_and_solve(tables: SeriesTables, load: LoadCase) -> tuple[np.ndarray, float, float]:
     """Solve the two real systems; returns (alpha_1..K complex, beta1, cond)."""
-    K, lam, b, r = tables.K, tables.lam, tables.b, tables.r
+    K, b, rhat = tables.K, tables.b, tables.rhat
     sp, sm, ang = load.sigma_plus, load.sigma_minus, load.alpha
-
-    j_idx = np.arange(1, K + 1)
-    pw = lam ** (2.0 * j_idx)  # lam^(2j)
-    wjk = np.outer(pw, pw)  # lam^(2j+2k)
+    col, row = rhat[:K, 0], rhat[0, :K]  # lam^(2j) r[j-1, 0] and lam^(2k) r[0, k-1]
 
     # real parts: coupled to beta through the sigma_+ balance
-    Mr = np.eye(K) + wjk * (
-        tables.dminus[1:, 1:] + (2.0 / (b - 1.0)) * np.outer(r[: K, 0], r[0, :K])
-    )
+    Mr = np.eye(K) + tables.dminus + (2.0 / (b - 1.0)) * np.outer(col, row)
     Mr[0, 0] -= b
-    rhs_r = -sp * pw * r[: K, 0] / (b - 1.0)
+    rhs_r = -sp * col / (b - 1.0)
     rhs_r[0] -= sm * np.cos(2 * ang)
 
     # imaginary parts: decoupled homogeneous-looking system
-    Mi = np.eye(K) - wjk * tables.dplus[1:, 1:]
+    Mi = np.eye(K) - tables.dplus
     Mi[0, 0] -= b
     rhs_i = np.zeros(K)
     rhs_i[0] = -sm * np.sin(2 * ang)
@@ -200,7 +198,7 @@ def _assemble_and_solve(tables: SeriesTables, load: LoadCase) -> tuple[np.ndarra
         ai = np.linalg.solve(Mi, rhs_i)
     except np.linalg.LinAlgError as exc:  # SVD or factorisation breakdown (non-finite entries)
         raise NumericalError(f"truncated system cannot be solved: {exc}") from exc
-    beta1 = (-sp - 2.0 * float(np.sum(pw * r[0, :K] * ar))) / (b - 1.0)
+    beta1 = (-sp - 2.0 * float(row @ ar)) / (b - 1.0)
     return ar + 1j * ai, beta1, cond
 
 
@@ -218,14 +216,10 @@ def solve_coefficients(
     K, lam, b, r = prob.K, prob.lam, tables.b, tables.r
     alpha, beta1, cond = _assemble_and_solve(tables, prob.load)
 
-    k_idx = np.arange(1, K + 1)
-    pw = lam ** (2.0 * k_idx)
-    beta = np.zeros(K + 1, dtype=complex)
+    # beta_(j+1) = (2j+1) alpha_j + sum_k lam^(2j+2k) r[j, k-1] conj(alpha_k)
+    beta = np.empty(K + 1, dtype=complex)
     beta[0] = beta1
-    for j in range(1, K + 1):
-        beta[j] = (2 * j + 1) * alpha[j - 1] + lam ** (2.0 * j) * np.sum(
-            pw * r[j, :K] * np.conj(alpha)
-        )
+    beta[1:] = (2 * np.arange(1, K + 1) + 1) * alpha + tables.rhat[1 : K + 1, :K] @ np.conj(alpha)
     alpha0 = complex(b / 2.0 * beta1)
     beta0 = complex(b * np.conj(alpha[0]))
 
@@ -234,6 +228,7 @@ def solve_coefficients(
     # over z take the factors e and 1/(e+1).
     powers = np.concatenate([np.arange(r.shape[0]), -np.arange(1, K + 1)])
     e = 2.0 * powers
+    pw = lam ** (2.0 * np.arange(1, K + 1))
     A, B = alpha * pw, beta[:K] * pw
     phi_rows = np.concatenate([r[:, :K] @ A, A])
     psi_rows = np.concatenate([r[:, :K] @ B - tables.rho[:, :K] @ A, B])
@@ -261,8 +256,8 @@ def unit_load_coefficients(
     spec: LatticeSpec,
     lam: float,
     K: int = 16,
-    sums: LatticeSums | None = None,
-    shells: int = 64,
+    *,
+    sums: LatticeSums,
 ) -> tuple[PotentialCoefficients, PotentialCoefficients]:
     """Coefficient sets for the two unit loads at load angle 0.
 
@@ -270,8 +265,6 @@ def unit_load_coefficients(
     are the inputs to homogenization.  The structural zeros
     alpha_1+ = beta_0+ = 0 and alpha_0- = beta_1- = 0 are verified.
     """
-    if sums is None:
-        sums = compute_lattice_sums(spec, s_max=max(40, 2 * K + 2), shells=shells)
     tables = series_tables(sums, lam, K)
     plus_load = LoadCase(sigma1=1.0, sigma2=1.0, alpha=0.0)  # sigma_+ = 1, sigma_- = 0
     minus_load = LoadCase(sigma1=1.0, sigma2=-1.0, alpha=0.0)  # sigma_+ = 0, sigma_- = 1

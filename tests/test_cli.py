@@ -106,6 +106,27 @@ class TestConfig:
     def test_non_finite_theta(self, tmp_path):
         assert run(tmp_path, "field", "a=1", "theta=inf")[0] == 2
 
+    @pytest.mark.parametrize("args", [
+        ("sums",),
+        ("solve",),
+        ("moduli", "direction=bond_to_effective", "nu=0.3", "n_lambda=2"),
+    ])
+    def test_list_keys_checked_for_every_command(self, tmp_path, args):
+        for bad in ("alphas=x", "r_factors=y"):
+            code, out = run(tmp_path / bad, *args, "a=1", bad)
+            assert code == 2
+            assert not (out / "check.json").exists()
+        # a valid list is echoed in check.json as given
+        code, out = run(tmp_path, *args, "a=1", "alphas=0.1, 0.2")
+        assert code == 0
+        assert json.loads((out / "check.json").read_text())["config"]["alphas"] == "0.1, 0.2"
+
+    def test_ring_count_capped(self, tmp_path):
+        # the index grid of 10^7 rings would need petabytes
+        code, out = run(tmp_path, "sums", "a=1", "shells=10000000")
+        assert code == 2
+        assert not (out / "check.json").exists()
+
 
 def _strict_json(path):
     """Parse a JSON artifact, refusing the non-standard NaN/Infinity."""
@@ -229,6 +250,11 @@ class TestSolve:
         check = json.loads((out / "check.json").read_text())
         assert check["checks"]["boundary_residual"] < 1e-10
 
+
+    def test_high_porosity_at_default_lattice_constant(self, tmp_path):
+        code, out = run(tmp_path, "solve", "a=246", "lambda_ratio=0.45", "K=38")
+        assert code == 0
+        assert json.loads((out / "check.json").read_text())["status"] == "ok"
 
     def test_non_finite_residual_fails_with_valid_json(self, tmp_path, monkeypatch):
         monkeypatch.setattr(fields, "boundary_residual", lambda *args, **kwargs: float("nan"))

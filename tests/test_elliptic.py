@@ -140,6 +140,18 @@ class TestFolding:
         assert z0s.shape == ms.shape == ns.shape == grid.shape
         assert elliptic.fold_point(grid[0, 1], spec) == (z0s[0, 1], ms[0, 1], ns[0, 1])
 
+    @pytest.mark.parametrize("a", [1e200, 1e-200])
+    def test_extreme_lattice_constant(self, spec, a):
+        # the cell coordinates are formed in units of a, so a^2 never appears
+        big = lattice.build_lattice(a, 1, 1)
+        z = np.array([3.0 + 1.0j, -0.2 + 2.9j, 0.25j])
+        z0, m, n = elliptic.fold_point(z * a, big)
+        z0_unit, m_unit, n_unit = elliptic.fold_point(z, spec)
+        assert np.array_equal(m, m_unit) and np.array_equal(n, n_unit)
+        assert np.allclose(z0 / a, z0_unit, rtol=0, atol=1e-14)
+        for i, zi in enumerate(z * a):
+            assert elliptic.fold_point(complex(zi), big)[1:] == (m[i], n[i])
+
     def test_non_finite_rejected(self, spec):
         for bad in (complex(np.nan, 0.0), np.array([0.1, np.inf])):
             with pytest.raises(errors.DomainError):

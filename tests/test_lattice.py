@@ -118,6 +118,11 @@ class TestLatticeSums:
         with pytest.raises(errors.InvalidArgumentError, match="out of range"):
             lattice.compute_lattice_sums(lattice.build_lattice(a, 1, 1), s_max=s_max, shells=8)
 
+    @pytest.mark.parametrize("shells", [513, 10**7])
+    def test_ring_count_out_of_range(self, spec, shells):
+        with pytest.raises(errors.InvalidArgumentError, match="shells"):
+            lattice.compute_lattice_sums(spec, s_max=9, shells=shells)
+
     def test_large_constant_with_few_orders_accepted(self):
         sums = lattice.compute_lattice_sums(lattice.build_lattice(1e5, 1, 1), s_max=9, shells=16)
         assert np.isfinite(sums.c).all() and sums.c[9] != 0.0

@@ -1,6 +1,7 @@
 """Truncated systems, closed-form coefficient chains, structural zeros."""
 
 import dataclasses
+from math import lgamma
 
 import numpy as np
 import pytest
@@ -8,6 +9,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexlat import errors, fields, lattice, solver
+
+
+def _oracle_tables(sums, lam, K):
+    """The per-entry formulas of the tables and the unweighted system
+    matrices d+- (rows/columns 1..K of a (K+1) x (K+1) array)."""
+
+    def fact_quot(num, den1, den2):
+        return float(np.exp(lgamma(num + 1) - lgamma(den1 + 1) - lgamma(den2 + 1)))
+
+    T = max(K + 1, sums.s_max)
+    r = np.zeros((T, T))
+    rho = np.zeros((T, T))
+    for j in range(T):
+        for k in range(T):
+            s = j + k + 1
+            if 2 <= s <= sums.s_max:
+                r[j, k] = fact_quot(2 * k + 2 * j, 2 * k + 1, 2 * j) * sums.c[s]
+                rho[j, k] = fact_quot(2 * k + 2 + 2 * j, 2 * k + 1, 2 * j) * sums.d[s]
+    dplus = np.zeros((K + 1, K + 1))
+    dminus = np.zeros((K + 1, K + 1))
+    mm = np.arange(1, K + 1)
+    for j in range(1, K + 1):
+        for k in range(1, K + 1):
+            base = (1 - 2 * j) * r[j, k - 1] - (1 + 2 * k) * r[j - 1, k] + rho[j - 1, k - 1] / lam**2
+            cross = float(np.sum(lam ** (4.0 * mm) * r[j - 1, mm] * r[mm, k - 1]))
+            dplus[j, k] = base + cross
+            dminus[j, k] = base - cross
+    return r, rho, dplus, dminus
 
 
 class TestValidation:
@@ -30,6 +59,38 @@ class TestValidation:
         prob = solver.ProblemSpec(spec, 0.1, solver.LoadCase(1.0, 0.0, 0.0), 16)
         with pytest.raises(errors.ConfigurationError):
             solver.solve_coefficients(prob, tables)
+
+
+class TestTables:
+    @pytest.mark.parametrize("lam, K", [(0.2, 16), (0.45, 38), (1e-3, 16)])
+    def test_match_per_entry_oracle(self, sums, lam, K):
+        t = solver.series_tables(sums, lam, K)
+        r, rho, dplus, dminus = _oracle_tables(sums, lam, K)
+        assert np.array_equal(t.r, r) and np.array_equal(t.rho, rho)
+        s = np.add.outer(np.arange(len(r)), np.arange(len(r))) + 1
+        assert np.allclose(t.rhat, lam ** (2.0 * s) * r, rtol=1e-14, atol=0)
+        # the solver's matrices carry the weights lam^(2j+2k), j, k = 1..K
+        jk = 2.0 * np.add.outer(np.arange(1, K + 1), np.arange(1, K + 1))
+        for got, ref in ((t.dplus, dplus), (t.dminus, dminus)):
+            want = lam**jk * ref[1:, 1:]
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_scale_invariance_at_high_porosity(self):
+        # lam = 0.45a needs K = 38; the system depends on lam/a alone, so the
+        # dimensionless alpha, beta agree for every a (in physical units,
+        # lam^(4K) overflows at a = 246)
+        load = solver.LoadCase(2.0, 1.0, 0.3)
+        solved = []
+        for a in (1.0, 2.46, 246.0):
+            spec = lattice.build_lattice(a, 1, 1)
+            sums = lattice.compute_lattice_sums(spec, s_max=40, shells=64)
+            prob = solver.ProblemSpec(spec, 0.45 * a, load, 38)
+            solved.append(solver.solve_coefficients(prob, solver.series_tables(sums, 0.45 * a, 38)))
+        ref = solved[0]
+        for c in solved:
+            assert c.residual <= 1e-12
+            assert np.max(np.abs(c.alpha - ref.alpha)) <= 1e-12 * np.max(np.abs(ref.alpha))
+            assert np.max(np.abs(c.beta - ref.beta)) <= 1e-12 * np.max(np.abs(ref.beta))
 
 
 class TestLoadCase:
@@ -81,6 +142,10 @@ class TestSolution:
         assert np.allclose(ca.alpha + cb.alpha, cs.alpha, rtol=0, atol=1e-12)
         assert np.allclose(ca.beta + cb.beta, cs.beta, rtol=0, atol=1e-12)
         assert ca.alpha0 + cb.alpha0 == pytest.approx(cs.alpha0, abs=1e-14)
+
+    def test_unit_loads_need_sums(self, spec):
+        with pytest.raises(TypeError):
+            solver.unit_load_coefficients(spec, 0.2, 16)
 
     def test_structural_zeros_of_unit_loads(self, unit_sets):
         plus, minus = unit_sets

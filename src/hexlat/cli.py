@@ -30,10 +30,12 @@ from .errors import (
     NumericalError,
     PrecisionError,
 )
-from .fields import cell_boundary_radius, total_displacement, total_stress
+from .fields import cell_boundary_radius, rim_defect, total_displacement, total_stress
 from .homogenize import bond_from_effective, effective_from_bond, homogenization_data, isotropy_check
 from .lattice import build_lattice, compute_lattice_sums, lattice_from_alpha
-from .solver import LoadCase, ProblemSpec, series_tables, solve_coefficients
+from .solver import (
+    UNIT_LOADS, LoadCase, ProblemSpec, gate_residual, series_tables, solve_coefficients,
+)
 from .svg import Series, line_plot
 
 __all__ = ["main"]
@@ -142,14 +144,6 @@ def _resolve_geometry(cfg: dict):
     return spec, lam
 
 
-def _resolve_nu(cfg: dict, default: float | None = None) -> float | None:
-    if cfg["nu"] is not None and cfg["nu_eff"] is not None:
-        raise ConfigurationError("give nu or nu_eff, not both")
-    if cfg["nu"] is not None:
-        return cfg["nu"]
-    return default
-
-
 def _float_list(raw: str, key: str) -> list[float]:
     try:
         values = [float(tok) for tok in raw.split(",") if tok.strip()]
@@ -229,18 +223,17 @@ def cmd_sums(cfg: dict, out: Path) -> None:
     _write_check(out, "sums", cfg, checks)
 
 
-def _solve(cfg: dict):
-    spec, lam = _resolve_geometry(cfg)
-    sums = compute_lattice_sums(spec, s_max=max(cfg["s_max"], cfg["K"] + 2), shells=cfg["shells"])
-    tables = series_tables(sums, lam, cfg["K"])
-    load = LoadCase(cfg["sigma1"], cfg["sigma2"], spec.alpha)
-    prob = ProblemSpec(spec, lam, load, cfg["K"])
-    coeffs = solve_coefficients(prob, tables)
-    return prob, coeffs, tables, sums
+def _lattice_sums(cfg: dict, spec):
+    """Lattice sums to the configured order, and at least to the K+2 the solve needs."""
+    return compute_lattice_sums(spec, s_max=max(cfg["s_max"], cfg["K"] + 2), shells=cfg["shells"])
 
 
 def cmd_solve(cfg: dict, out: Path) -> None:
-    prob, coeffs, tables, sums = _solve(cfg)
+    spec, lam = _resolve_geometry(cfg)
+    sums = _lattice_sums(cfg, spec)
+    tables = series_tables(sums, lam, cfg["K"])
+    prob = ProblemSpec(spec, lam, LoadCase(cfg["sigma1"], cfg["sigma2"], spec.alpha), cfg["K"])
+    coeffs = solve_coefficients(prob, tables)
     doc = {
         "schema": "hexlat-coeffs/1",
         "a": prob.spec.a,
@@ -264,60 +257,69 @@ def cmd_solve(cfg: dict, out: Path) -> None:
     _write_check(out, "solve", cfg, checks)
 
 
+_FIELD_HEADER = ["r", "theta", "alpha", "sigma_r", "tau_rtheta", "sigma_theta",
+                 "sigma_x", "sigma_y", "tau_xy", "u2G", "v2G"]
+
+
+def _cut(cfg: dict, out: Path, spec, lam: float, theta: float, radii, angles):
+    """Write field.csv of the cut at theta: the radii, for every load angle.
+    Returns the values[load, radius, column] written and their checks.
+
+    Solution, fields and rim defect are real-linear in the load weights,
+    so the three UNIT_LOADS are solved and evaluated once and each load is
+    their weighted sum.  Each load is gated on its own residual
+    max|sum_i w_i D_i| over the rim (D_i: unit load i's defect), as
+    solve_coefficients gates one load.  The unit loads are not gated: at
+    their unit scale they may miss a gate that a superposed load meets.
+    """
+    if cfg["nu_eff"] is not None:
+        raise ConfigurationError("field displacements take the bond Poisson ratio nu, not nu_eff")
+    nu = 0.2668 if cfg["nu"] is None else cfg["nu"]
+    tables = series_tables(_lattice_sums(cfg, spec), lam, cfg["K"])
+    defects, units = [], []
+    for unit in UNIT_LOADS:
+        prob = ProblemSpec(spec, lam, unit, cfg["K"])
+        coeffs = solve_coefficients(prob, tables, check_residual=False)
+        defects.append(rim_defect(prob, coeffs, tables))
+        for r in radii:
+            f = total_stress(r, theta, prob, coeffs, tables)
+            units += [f.sigma_r, f.tau_rtheta, f.sigma_theta, f.sigma_x, f.sigma_y, f.tau_xy]
+            units += total_displacement(f.z, prob, coeffs, tables, nu)
+    loads = [LoadCase(cfg["sigma1"], cfg["sigma2"], ang) for ang in angles]
+    weights = np.array([load.weights for load in loads])
+    residuals = np.max(np.abs(weights @ np.array(defects)), axis=1)
+    worst = max(gate_residual(float(res), load) for load, res in zip(loads, residuals))
+    values = np.empty((len(angles), len(radii), len(_FIELD_HEADER)))
+    values[..., 0] = radii
+    values[..., 1] = theta
+    values[..., 2] = np.reshape(angles, (-1, 1))
+    values[..., 3:] = (weights @ np.reshape(units, (3, -1))).reshape(len(angles), len(radii), -1)
+    rows = values.reshape(-1, len(_FIELD_HEADER))
+    _write_csv(out / "field.csv", _FIELD_HEADER, rows)
+    checks = {"boundary_residual": worst, "condition": coeffs.condition, "n_points": len(rows)}
+    return values, checks
+
+
 def cmd_field(cfg: dict, out: Path) -> None:
     spec, lam = _resolve_geometry(cfg)
-    nu = _resolve_nu(cfg, default=0.2668)
-    sums = compute_lattice_sums(spec, s_max=max(cfg["s_max"], cfg["K"] + 2), shells=cfg["shells"])
-    tables = series_tables(sums, lam, cfg["K"])
     theta = cfg["theta"]
     alphas = _float_list(cfg["alphas"], "alphas")
-    r_hi = cell_boundary_radius(theta, spec.a)
-    rr = np.linspace(lam, r_hi, cfg["n_r"])
-    rows = []
+    rr = np.linspace(lam, cell_boundary_radius(theta, spec.a), cfg["n_r"])
+    values, checks = _cut(cfg, out, spec, lam, theta, rr, alphas)
     curves = []
-    worst_res = 0.0
-    worst_cond = 0.0
-    for ang in alphas:
-        load = LoadCase(cfg["sigma1"], cfg["sigma2"], ang)
-        prob = ProblemSpec(spec, lam, load, cfg["K"])
-        coeffs = solve_coefficients(prob, tables)
-        worst_res = max(worst_res, coeffs.residual)
-        worst_cond = max(worst_cond, coeffs.condition)
-        sr, st = [], []
-        for r in rr:
-            f = total_stress(r, theta, prob, coeffs, tables)
-            u, v = total_displacement(f.z, prob, coeffs, tables, nu)
-            rows.append(
-                [r, theta, ang, f.sigma_r, f.tau_rtheta, f.sigma_theta,
-                 f.sigma_x, f.sigma_y, f.tau_xy, u, v]
-            )
-            sr.append(f.sigma_r)
-            st.append(f.tau_rtheta)
-        curves.append(Series(tuple(rr), tuple(sr), label=f"sigma_r, alpha={ang:.4g}"))
-        curves.append(Series(tuple(rr), tuple(st), label=f"tau, alpha={ang:.4g}"))
-    _write_csv(
-        out / "field.csv",
-        ["r", "theta", "alpha", "sigma_r", "tau_rtheta", "sigma_theta",
-         "sigma_x", "sigma_y", "tau_xy", "u2G", "v2G"],
-        rows,
-    )
+    for ang, cut in zip(alphas, values):
+        curves.append(Series(tuple(rr), tuple(cut[:, 3]), label=f"sigma_r, alpha={ang:.4g}"))
+        curves.append(Series(tuple(rr), tuple(cut[:, 4]), label=f"tau, alpha={ang:.4g}"))
     (out / "fig2.svg").write_text(
         line_plot(curves, title="rim-to-boundary stresses", xlabel="r", ylabel="stress")
     )
-    _write_check(
-        out, "field", cfg,
-        {"boundary_residual": worst_res, "condition": worst_cond, "n_points": len(rows)},
-    )
+    _write_check(out, "field", cfg, checks)
 
 
 def cmd_sweep(cfg: dict, out: Path) -> None:
     spec, lam = _resolve_geometry(cfg)
-    nu = _resolve_nu(cfg, default=0.2668)
-    sums = compute_lattice_sums(spec, s_max=max(cfg["s_max"], cfg["K"] + 2), shells=cfg["shells"])
-    tables = series_tables(sums, lam, cfg["K"])
     theta = cfg["sweep_theta"]
-    factors = _float_list(cfg["r_factors"], "r_factors")
-    radii = [f * lam for f in factors]
+    radii = [f * lam for f in _float_list(cfg["r_factors"], "r_factors")]
     r_hi = cell_boundary_radius(theta, spec.a)
     for r in radii:
         if not lam <= r <= r_hi:
@@ -325,40 +327,12 @@ def cmd_sweep(cfg: dict, out: Path) -> None:
                 f"sweep radius {r:.6g} outside the cell cut [{lam:.6g}, {r_hi:.6g}]"
             )
     angles = np.linspace(0.0, np.pi, cfg["n_alpha"])
-    rows = []
-    stress_curves = []
-    disp_curves = []
-    worst_res = 0.0
-    per_r = {r: {"sr": [], "tau": [], "u": [], "v": []} for r in radii}
-    for ang in angles:
-        load = LoadCase(cfg["sigma1"], cfg["sigma2"], ang)
-        prob = ProblemSpec(spec, lam, load, cfg["K"])
-        coeffs = solve_coefficients(prob, tables)
-        worst_res = max(worst_res, coeffs.residual)
-        for r in radii:
-            f = total_stress(r, theta, prob, coeffs, tables)
-            u, v = total_displacement(f.z, prob, coeffs, tables, nu)
-            rows.append(
-                [r, theta, ang, f.sigma_r, f.tau_rtheta, f.sigma_theta,
-                 f.sigma_x, f.sigma_y, f.tau_xy, u, v]
-            )
-            per_r[r]["sr"].append(f.sigma_r)
-            per_r[r]["tau"].append(f.tau_rtheta)
-            per_r[r]["u"].append(u)
-            per_r[r]["v"].append(v)
-    for r in radii:
-        stress_curves.append(
-            Series(tuple(angles), tuple(per_r[r]["sr"]), label=f"sigma_r, r={r:.4g}")
-        )
-        stress_curves.append(Series(tuple(angles), tuple(per_r[r]["tau"]), label=f"tau, r={r:.4g}"))
-        disp_curves.append(Series(tuple(angles), tuple(per_r[r]["u"]), label=f"2Gu, r={r:.4g}"))
-        disp_curves.append(Series(tuple(angles), tuple(per_r[r]["v"]), label=f"2Gv, r={r:.4g}"))
-    _write_csv(
-        out / "field.csv",
-        ["r", "theta", "alpha", "sigma_r", "tau_rtheta", "sigma_theta",
-         "sigma_x", "sigma_y", "tau_xy", "u2G", "v2G"],
-        rows,
-    )
+    values, checks = _cut(cfg, out, spec, lam, theta, radii, angles)
+    stress_curves, disp_curves = [], []
+    for r, sweep in zip(radii, values.transpose(1, 0, 2)):
+        for curves, col, name in ((stress_curves, 3, "sigma_r"), (stress_curves, 4, "tau"),
+                                  (disp_curves, 9, "2Gu"), (disp_curves, 10, "2Gv")):
+            curves.append(Series(tuple(angles), tuple(sweep[:, col]), label=f"{name}, r={r:.4g}"))
     (out / "fig3.svg").write_text(
         line_plot(stress_curves, title="stresses vs load angle", xlabel="alpha", ylabel="stress")
     )
@@ -366,7 +340,7 @@ def cmd_sweep(cfg: dict, out: Path) -> None:
         line_plot(disp_curves, title="displacements vs load angle", xlabel="alpha",
                   ylabel="2G displacement")
     )
-    _write_check(out, "sweep", cfg, {"boundary_residual": worst_res, "n_points": len(rows)})
+    _write_check(out, "sweep", cfg, checks)
 
 
 def cmd_moduli(cfg: dict, out: Path) -> None:
@@ -388,14 +362,14 @@ def cmd_moduli(cfg: dict, out: Path) -> None:
         if cfg["nu_eff"] is not None:
             raise ConfigurationError("direction=bond_to_effective takes nu, not nu_eff")
         nu_in = cfg["nu"]
-    sums = compute_lattice_sums(spec, s_max=max(cfg["s_max"], cfg["K"] + 2), shells=cfg["shells"])
+    sums = _lattice_sums(cfg, spec)
     lams = np.linspace(cfg["lam_ratio_min"], cfg["lam_ratio_max"], cfg["n_lambda"]) * spec.a
     rows = []
     out1, out2 = [], []
     worst_rt = 0.0
     worst_iso = 0.0
     for lam in lams:
-        data = homogenization_data(spec, float(lam), K=cfg["K"], sums=sums, shells=cfg["shells"])
+        data = homogenization_data(spec, float(lam), K=cfg["K"], sums=sums)
         if direction == "effective_to_bond":
             E, nu = bond_from_effective(1.0, nu_in, data)
             back = effective_from_bond(E, nu, data)

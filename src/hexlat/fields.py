@@ -37,9 +37,13 @@ __all__ = [
     "displacement_potentials",
     "total_stress",
     "total_displacement",
+    "rim_defect",
     "boundary_residual",
     "isolated_hole_reference",
 ]
+
+# Rim points of the residual arbiter.
+_RIM_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -219,27 +223,32 @@ def total_displacement(
     return float(disp.real), float(disp.imag)
 
 
-def boundary_residual(
-    prob: ProblemSpec,
-    coeffs: PotentialCoefficients,
-    tables: SeriesTables,
-    n_theta: int = 256,
-) -> float:
-    """Max rim-traction defect of the assembled solution over a theta grid.
-
-    A non-finite defect anywhere on the grid makes the result NaN.
-    """
+def rim_defect(
+    prob: ProblemSpec, coeffs: PotentialCoefficients, tables: SeriesTables
+) -> np.ndarray:
+    """Complex rim-traction defect of the assembled solution at _RIM_POINTS
+    equispaced rim points; zero for an exact solution, and real-linear in
+    the load weights like the solution itself."""
     load = prob.load
-    theta = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
+    theta = np.linspace(0.0, 2 * np.pi, _RIM_POINTS, endpoint=False)
     t = prob.lam * np.exp(1j * theta)
     phi, phi_d, psi, _, _ = _potentials(t, coeffs, tables, fold=False)
-    res = (
+    return (
         phi + np.conj(phi)
         - (np.conj(t) * phi_d + psi) * np.exp(2j * theta)
         + load.sigma_plus
         + load.sigma_minus * np.exp(2j * (theta - load.alpha))
     )
-    return float(np.max(np.abs(res)))
+
+
+def boundary_residual(
+    prob: ProblemSpec, coeffs: PotentialCoefficients, tables: SeriesTables
+) -> float:
+    """Max rim-traction defect of the assembled solution over the rim grid.
+
+    A non-finite defect anywhere on the grid makes the result NaN.
+    """
+    return float(np.max(np.abs(rim_defect(prob, coeffs, tables))))
 
 
 def isolated_hole_reference(

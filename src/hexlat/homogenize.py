@@ -10,7 +10,7 @@ kappa_1 = kappa_2 are checked rather than assumed.
 
 Conversions are load-independent: the boundary conditions are pure
 tractions, so the unit-load coefficient sets depend only on the lattice
-and the hole radius, and are cached per (lattice, lam, K, shells).
+and the hole radius, and are cached per (lattice sums, lam, K).
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ def homogenization_data(
     spec: LatticeSpec,
     lam: float,
     K: int = 16,
-    sums: LatticeSums | None = None,
-    shells: int = 64,
+    *,
+    sums: LatticeSums,
 ) -> HomogenizationData:
     """Unit-load coefficient set for one (lattice, hole radius) pair, cached.
 
@@ -119,15 +119,11 @@ def homogenization_data(
     by identity), which keeps it alive, so its identity cannot be reused
     by another set of sums while the entry exists.
     """
-    key = (spec.a, spec.omega1, lam, K, shells, sums)
+    key = (spec.a, spec.omega1, lam, K, sums)
     with _cache_lock:
         hit = _cache.get(key)
     if hit is not None:
         return hit
-    if sums is None:
-        from .lattice import compute_lattice_sums
-
-        sums = compute_lattice_sums(spec, s_max=max(40, 2 * K + 2), shells=shells)
     plus, minus = unit_load_coefficients(spec, lam, K=K, sums=sums)
     vals = {
         "alpha0_plus": plus.alpha0,

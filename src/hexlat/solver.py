@@ -30,12 +30,14 @@ from .errors import ConfigurationError, ConsistencyError, InvalidArgumentError, 
 from .lattice import LatticeSpec, LatticeSums
 
 __all__ = [
+    "UNIT_LOADS",
     "LoadCase",
     "ProblemSpec",
     "SeriesTables",
     "PotentialCoefficients",
     "series_tables",
     "solve_coefficients",
+    "gate_residual",
     "unit_load_coefficients",
 ]
 
@@ -64,6 +66,17 @@ class LoadCase:
     @property
     def sigma_minus(self) -> float:
         return 0.5 * (self.sigma1 - self.sigma2)
+
+    @property
+    def weights(self) -> tuple[float, float, float]:
+        """(sigma_+, sigma_- cos 2alpha, sigma_- sin 2alpha): the solution,
+        its rim defect and every field are real-linear in these three."""
+        sm, ang = self.sigma_minus, self.alpha
+        return self.sigma_plus, float(sm * np.cos(2 * ang)), float(sm * np.sin(2 * ang))
+
+
+# Loads whose weights are, to rounding (cos(pi/2) = 6e-17), the unit vectors.
+UNIT_LOADS = (LoadCase(1.0, 1.0, 0.0), LoadCase(1.0, -1.0, 0.0), LoadCase(1.0, -1.0, np.pi / 4))
 
 
 @dataclass(frozen=True)
@@ -173,20 +186,20 @@ def series_tables(sums: LatticeSums, lam: float, K: int) -> SeriesTables:
 def _assemble_and_solve(tables: SeriesTables, load: LoadCase) -> tuple[np.ndarray, float, float]:
     """Solve the two real systems; returns (alpha_1..K complex, beta1, cond)."""
     K, b, rhat = tables.K, tables.b, tables.rhat
-    sp, sm, ang = load.sigma_plus, load.sigma_minus, load.alpha
+    sp, sm_cos, sm_sin = load.weights
     col, row = rhat[:K, 0], rhat[0, :K]  # lam^(2j) r[j-1, 0] and lam^(2k) r[0, k-1]
 
     # real parts: coupled to beta through the sigma_+ balance
     Mr = np.eye(K) + tables.dminus + (2.0 / (b - 1.0)) * np.outer(col, row)
     Mr[0, 0] -= b
     rhs_r = -sp * col / (b - 1.0)
-    rhs_r[0] -= sm * np.cos(2 * ang)
+    rhs_r[0] -= sm_cos
 
     # imaginary parts: decoupled homogeneous-looking system
     Mi = np.eye(K) - tables.dplus
     Mi[0, 0] -= b
     rhs_i = np.zeros(K)
-    rhs_i[0] = -sm * np.sin(2 * ang)
+    rhs_i[0] = -sm_sin
 
     try:
         cond = max(float(np.linalg.cond(Mr)), float(np.linalg.cond(Mi)))
@@ -241,15 +254,20 @@ def solve_coefficients(
     if check_residual:
         from . import fields  # deferred: fields depends on this module's types
 
-        scale = max(abs(prob.load.sigma1), abs(prob.load.sigma2), 1e-300)
-        res = fields.boundary_residual(prob, coeffs, tables)
-        if not res <= _RESIDUAL_TOL * scale:  # fails closed on NaN
-            raise ConsistencyError(
-                f"rim traction residual {res:.3e} exceeds {_RESIDUAL_TOL:.0e} x load",
-                residual=res,
-            )
+        res = gate_residual(fields.boundary_residual(prob, coeffs, tables), prob.load)
         coeffs = replace(coeffs, residual=res)
     return coeffs
+
+
+def gate_residual(res: float, load: LoadCase) -> float:
+    """Return the rim residual res of a solution for load, or raise
+    ConsistencyError unless it is within 1e-6 of the load scale (NaN fails)."""
+    scale = max(abs(load.sigma1), abs(load.sigma2), 1e-300)
+    if not res <= _RESIDUAL_TOL * scale:  # fails closed on NaN
+        raise ConsistencyError(
+            f"rim traction residual {res:.3e} exceeds {_RESIDUAL_TOL:.0e} x load", residual=res
+        )
+    return res
 
 
 def unit_load_coefficients(
@@ -266,10 +284,9 @@ def unit_load_coefficients(
     alpha_1+ = beta_0+ = 0 and alpha_0- = beta_1- = 0 are verified.
     """
     tables = series_tables(sums, lam, K)
-    plus_load = LoadCase(sigma1=1.0, sigma2=1.0, alpha=0.0)  # sigma_+ = 1, sigma_- = 0
-    minus_load = LoadCase(sigma1=1.0, sigma2=-1.0, alpha=0.0)  # sigma_+ = 0, sigma_- = 1
-    plus = solve_coefficients(ProblemSpec(spec, lam, plus_load, K), tables)
-    minus = solve_coefficients(ProblemSpec(spec, lam, minus_load, K), tables)
+    plus, minus = (
+        solve_coefficients(ProblemSpec(spec, lam, load, K), tables) for load in UNIT_LOADS[:2]
+    )
     scale = 1e-10
     if abs(plus.alpha[0]) > scale or abs(plus.beta0) > scale:
         raise ConsistencyError(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hexlat import fields
+from hexlat import cli, fields, lattice, solver
 from hexlat.cli import load_config, main
 
 
@@ -308,6 +308,97 @@ class TestSweep:
 
     def test_bad_radius_rejected(self, tmp_path):
         assert main(["sweep", "--out", str(tmp_path), "a=1", "r_factors=9.0"]) == 2
+
+
+def _per_load_cut(args, rows):
+    """Oracle for field.csv: every load solved and arbitrated on its own, each
+    point evaluated with that load's coefficients.  Returns (rows, worst
+    residual, condition) for the (r, theta, alpha) of the given rows."""
+    cfg = load_config(None, list(args))
+    spec, lam = cli._resolve_geometry(cfg)
+    K = cfg["K"]
+    sums = lattice.compute_lattice_sums(spec, s_max=max(cfg["s_max"], K + 2), shells=cfg["shells"])
+    tables = solver.series_tables(sums, lam, K)
+    nu = 0.2668 if cfg["nu"] is None else cfg["nu"]
+    out, worst, cond = [], 0.0, 0.0
+    cache = {}
+    for r, theta, ang in rows[:, :3]:
+        if ang not in cache:
+            load = solver.LoadCase(cfg["sigma1"], cfg["sigma2"], ang)
+            prob = solver.ProblemSpec(spec, lam, load, K)
+            cache[ang] = prob, solver.solve_coefficients(prob, tables)
+            worst = max(worst, cache[ang][1].residual)
+            cond = max(cond, cache[ang][1].condition)
+        prob, coeffs = cache[ang]
+        f = fields.total_stress(r, theta, prob, coeffs, tables)
+        u, v = fields.total_displacement(f.z, prob, coeffs, tables, nu)
+        out.append([r, theta, ang, f.sigma_r, f.tau_rtheta, f.sigma_theta,
+                    f.sigma_x, f.sigma_y, f.tau_xy, u, v])
+    return np.array(out), worst, cond
+
+
+class TestCut:
+    """`field` and `sweep` superpose three unit-load solutions."""
+
+    @pytest.mark.parametrize("args", [
+        ("field", "alphas=0.1"),
+        ("sweep", "n_alpha=13"),
+        ("field", "a=1", "alphas=0,0.3,1.1,2.9,0.7853981633974483", "n_r=6"),
+    ])
+    def test_three_solves(self, tmp_path, monkeypatch, args):
+        calls = []
+
+        def counting(*a, **kw):
+            calls.append(a[0].load)
+            return solver.solve_coefficients(*a, **kw)
+
+        monkeypatch.setattr(cli, "solve_coefficients", counting)
+        code, _ = run(tmp_path, *args)
+        assert code == 0
+        assert calls == list(solver.UNIT_LOADS)
+
+    @pytest.mark.parametrize("args", [
+        ("field", "a=1", "alphas=0,0.3,1.1,2.9,-0.4", "n_r=6"),
+        ("field", "a=246", "m=3", "n=1", "alphas=0.3,2", "n_r=5", "nu=0.31"),
+        ("sweep", "a=246", "lambda_ratio=0.3", "n_alpha=7", "sigma1=-1.5", "sigma2=0.5"),
+        ("sweep", "a=1", "alpha=0.4", "r_factors=1,1.3", "n_alpha=5", "sigma1=0.5", "sigma2=4"),
+        # the default (2, 1) loads pass their 2e-6 gate with 8.8e-7 here,
+        # while the sigma_- unit loads alone reach 1.8e-6
+        ("field", "a=1", "lambda_ratio=0.4"),
+        ("sweep", "a=1", "lambda_ratio=0.4", "r_factors=1,1.2"),
+    ])
+    def test_matches_per_load_solution(self, tmp_path, args):
+        code, out = run(tmp_path, *args)
+        assert code == 0
+        header, rows = read_csv(out / "field.csv")
+        assert header == cli._FIELD_HEADER
+        want, worst, cond = _per_load_cut(args[1:], rows)
+        scale = np.max(np.abs(want), axis=0)
+        assert np.all(np.abs(rows - want) <= 1e-13 * scale)
+        checks = json.loads((out / "check.json").read_text())["checks"]
+        cfg = load_config(None, list(args[1:]))
+        load = max(abs(cfg["sigma1"]), abs(cfg["sigma2"]))
+        assert abs(checks["boundary_residual"] - worst) <= 1e-14 * load
+        assert checks["condition"] == pytest.approx(cond, rel=1e-12)
+        assert checks["n_points"] == len(rows)
+
+    @pytest.mark.parametrize("command", ["field", "sweep"])
+    def test_nan_rim_defect_fails_closed(self, tmp_path, monkeypatch, command):
+        monkeypatch.setattr(cli, "rim_defect", lambda *args: np.full(256, complex("nan")))
+        code, out = run(tmp_path, command, "a=1", "n_alpha=3", "n_r=3")
+        assert code == 4
+        doc = _strict_json(out / "check.json")
+        assert doc["status"] == "consistency-failure"
+        assert doc["residual"] is None
+        assert not (out / "field.csv").exists()
+
+    @pytest.mark.parametrize("command", ["field", "sweep"])
+    def test_nu_eff_rejected(self, tmp_path, capsys, command):
+        # the displacements use the bond ratio; nu_eff was silently ignored
+        code, out = run(tmp_path, command, "a=1", "n_r=5", "nu_eff=0.45")
+        assert code == 2
+        assert "nu," in capsys.readouterr().err
+        assert not (out / "check.json").exists()
 
 
 class TestModuli:

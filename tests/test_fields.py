@@ -214,6 +214,9 @@ class TestEvaluator:
             worst = max(worst, abs(res))
         assert worst > 1e-6
         assert fields.boundary_residual(prob, coeffs, tables) == pytest.approx(worst, rel=1e-12)
+        defect = fields.rim_defect(prob, coeffs, tables)
+        assert defect.shape == (256,)
+        assert np.max(np.abs(defect)) == fields.boundary_residual(prob, coeffs, tables)
 
     def test_non_finite_residual_is_nan(self, spec, tables):
         load = solver.LoadCase(2.0, 1.0, 0.0)

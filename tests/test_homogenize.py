@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexlat import errors, homogenize, lattice, solver
+from hexlat import errors, homogenize, lattice
 
 
 @pytest.fixture(scope="module")
@@ -127,17 +127,7 @@ class TestCaching:
             gc.collect()
             assert alive() is not None
 
-    def test_missing_sums_computed_once(self, spec, monkeypatch):
-        calls = []
-        original = lattice.compute_lattice_sums
-
-        def counting(*args, **kwargs):
-            calls.append(kwargs)
-            return original(*args, **kwargs)
-
-        for module in (lattice, solver, homogenize):
-            monkeypatch.setattr(module, "compute_lattice_sums", counting, raising=False)
-        homogenize.homogenization_data(spec, 0.16, shells=16)
-        assert len(calls) == 1
-        homogenize.homogenization_data(spec, 0.16, shells=16)
-        assert len(calls) == 1
+    def test_sums_required(self, spec):
+        # the lattice sums are the cache key; there is no default set of them
+        with pytest.raises(TypeError):
+            homogenize.homogenization_data(spec, 0.16)

@@ -108,6 +108,21 @@ class TestLoadCase:
         assert load.sigma_plus + load.sigma_minus == pytest.approx(s1, abs=1e-12)
         assert load.sigma_plus - load.sigma_minus == pytest.approx(s2, abs=1e-12)
 
+    def test_weights(self):
+        w = solver.LoadCase(2.0, 1.0, 0.3).weights
+        assert w == pytest.approx((1.5, 0.5 * np.cos(0.6), 0.5 * np.sin(0.6)), rel=1e-15)
+        # the unit loads are the unit weight vectors, up to cos(pi/2) = 6e-17
+        units = np.array([load.weights for load in solver.UNIT_LOADS])
+        assert np.allclose(units, np.eye(3), rtol=0, atol=1e-16)
+
+    def test_gate_residual(self):
+        load = solver.LoadCase(-2.0, 1.0, 0.3)  # gate 1e-6 x max(|sigma1|, |sigma2|)
+        assert solver.gate_residual(2e-6, load) == 2e-6
+        for res in (2.01e-6, float("nan"), float("inf")):
+            with pytest.raises(errors.ConsistencyError) as exc:
+                solver.gate_residual(res, load)
+            assert exc.value.residual is res
+
 
 class TestSolution:
     def test_nan_residual_fails_closed(self, spec, tables, monkeypatch):
@@ -142,6 +157,29 @@ class TestSolution:
         assert np.allclose(ca.alpha + cb.alpha, cs.alpha, rtol=0, atol=1e-12)
         assert np.allclose(ca.beta + cb.beta, cs.beta, rtol=0, atol=1e-12)
         assert ca.alpha0 + cb.alpha0 == pytest.approx(cs.alpha0, abs=1e-14)
+
+    def test_unit_loads_superpose(self, spec, sums):
+        # under-resolved (K = 4, lam = 0.45), so the rim defect is far above
+        # rounding and its superposition is tested, not just its smallness
+        lam, K = 0.45, 4
+        tables = solver.series_tables(sums, lam, K)
+
+        def solve(load):
+            prob = solver.ProblemSpec(spec, lam, load, K)
+            coeffs = solver.solve_coefficients(prob, tables, check_residual=False)
+            return coeffs, fields.rim_defect(prob, coeffs, tables)
+
+        units = [solve(load) for load in solver.UNIT_LOADS]
+        for load in (solver.LoadCase(2.0, -0.5, 0.7), solver.LoadCase(-1.0, 3.0, 2.9)):
+            coeffs, defect = solve(load)
+            w = load.weights
+            for name in ("alpha", "beta", "alpha0", "beta0", "series"):
+                got = sum(wi * getattr(u, name) for wi, (u, _) in zip(w, units))
+                want = getattr(coeffs, name)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            superposed = sum(wi * d for wi, (_, d) in zip(w, units))
+            assert np.max(np.abs(defect)) > 1e-6
+            assert np.max(np.abs(superposed - defect)) <= 1e-13 * np.max(np.abs(defect))
 
     def test_unit_loads_need_sums(self, spec):
         with pytest.raises(TypeError):

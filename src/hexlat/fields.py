@@ -1,19 +1,21 @@
 """Stress and displacement fields in the perforated cell.
 
 Total fields are the uniform remote state plus the doubly-periodic
-corrective potentials.  Every field function, the rim-residual arbiter
-included, evaluates through one evaluator: it folds the points into the
-Voronoi cell around the origin (`fold_point`, four-corner search),
-evaluates all five potentials at once as one product of a power matrix
-with the solution's collapsed series matrix, and restores the
-quasi-periodic increments analytically.  Periodicity is therefore exact
-by construction and evaluation is valid everywhere outside the holes.
+corrective potentials.  Every field function evaluates through one
+evaluator: it folds the points into the Voronoi cell around the origin
+(`fold_point`, four-corner search), evaluates all five potentials at
+once as one product of a power matrix with the solution's collapsed
+series matrix, and restores the quasi-periodic increments analytically.
+Periodicity is therefore exact by construction and evaluation is valid
+everywhere outside the holes.  The rim arbiter forms the same product
+on the tables' rim powers.
 
 An array of points takes the vectorised path.  A single point, as
 `total_stress` and `total_displacement` take, stays in plain Python
 numbers (`cmath`/`math`, Python complex lattice periods) around that
 one series product, because numpy's per-call overhead on a scalar costs
-more than the arithmetic itself.
+more than the arithmetic itself.  The last point's potentials are kept,
+so a point's stress and displacement share one fold and one product.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .elliptic import fold_point
 from .errors import DomainError, InvalidArgumentError
-from .solver import LoadCase, PotentialCoefficients, ProblemSpec, SeriesTables
+from .solver import LoadCase, PotentialCoefficients, ProblemSpec, SeriesTables, _rim_angles
 
 __all__ = [
     "FieldSample",
@@ -42,8 +44,8 @@ __all__ = [
     "isolated_hole_reference",
 ]
 
-# Rim points of the residual arbiter.
-_RIM_POINTS = 256
+# The last scalar evaluation (z, fold, coeffs, tables, result), replaced whole.
+_last = (None,) * 5
 
 
 @dataclass(frozen=True)
@@ -104,11 +106,22 @@ def _potentials(
     arithmetic stays in plain Python around the one series product.
     Folding and the quasi-periodic increments are those that
     `potentials_eval` and `displacement_potentials` state.
+
+    A scalar z reuses the last scalar result if z (sign of zero too), fold,
+    coeffs and tables (by identity) match.  That entry pins one coeffs/tables
+    pair; arrays and points inside a hole are never kept.
     """
+    global _last
+    scalar = isinstance(z, (complex, float, int)) or np.ndim(z) == 0
+    if scalar:
+        z, last = complex(z), _last
+        # a zero part's sign can reach the results and == ignores it; repr does not
+        if last[:4] == (z, fold, coeffs, tables) and (
+                z.real and z.imag or repr(last[0]) == repr(z)):
+            return last[4]
     sums = tables.sums
     spec = sums.spec
     z0, m, n = fold_point(z, spec) if fold else (z, 0, 0)
-    scalar = isinstance(z0, complex) or np.ndim(z0) == 0
     r0 = abs(z0)
     inside = r0 < tables.lam * (1 - 1e-12)
     if inside if scalar else inside.any():
@@ -116,7 +129,8 @@ def _potentials(
         raise DomainError(
             f"point {np.ravel(z)[i]} lies inside a hole (folded |z0| = {np.ravel(r0)[i]:.6g})"
         )
-    v = np.power.outer(z0 * z0, coeffs.powers) @ coeffs.series
+    z2 = z0 * z0
+    v = (z2**coeffs.powers if scalar else np.power.outer(z2, coeffs.powers)) @ coeffs.series
     # the five columns: Python complex for a point, (shape of z) views for an
     # array (transpose is several times cheaper than np.moveaxis here)
     v = v.tolist() if scalar else v.transpose(-1, *range(v.ndim - 1))
@@ -125,13 +139,16 @@ def _potentials(
     wc = w.conjugate()
     dw = (m * sums.delta1 + n * sums.delta2) * tables.lam**2
     alpha1, beta1 = complex(coeffs.alpha[0]), complex(coeffs.beta[0])
-    return (
+    result = (
         phi,
         phi_d,
         v[1] - wc * phi_d,
         z0 * v[3] + coeffs.alpha0 * w - alpha1 * dw,
         z0 * v[4] + coeffs.beta0 * w - beta1 * dw - wc * (phi - coeffs.alpha0),
     )
+    if scalar:
+        _last = (z, fold, coeffs, tables, result)
+    return result
 
 
 def potentials_eval(
@@ -226,13 +243,14 @@ def total_displacement(
 def rim_defect(
     prob: ProblemSpec, coeffs: PotentialCoefficients, tables: SeriesTables
 ) -> np.ndarray:
-    """Complex rim-traction defect of the assembled solution at _RIM_POINTS
-    equispaced rim points; zero for an exact solution, and real-linear in
-    the load weights like the solution itself."""
+    """Complex rim-traction defect of the assembled solution at the rim
+    points of `tables.rim_powers` (raw series, no fold); zero for an exact
+    solution, and real-linear in the load weights like the solution itself."""
     load = prob.load
-    theta = np.linspace(0.0, 2 * np.pi, _RIM_POINTS, endpoint=False)
-    t = prob.lam * np.exp(1j * theta)
-    phi, phi_d, psi, _, _ = _potentials(t, coeffs, tables, fold=False)
+    theta = _rim_angles()
+    t = tables.lam * np.exp(1j * theta)
+    phi, psi, zphi_d = (tables.rim_powers @ coeffs.series)[:, :3].T
+    phi_d = zphi_d / t
     return (
         phi + np.conj(phi)
         - (np.conj(t) * phi_d + psi) * np.exp(2j * theta)

@@ -10,13 +10,13 @@ kappa_1 = kappa_2 are checked rather than assumed.
 
 Conversions are load-independent: the boundary conditions are pure
 tractions, so the unit-load coefficient sets depend only on the lattice
-and the hole radius, and are cached per (lattice sums, lam, K).
+and the hole radius; the latest 128 are cached per (lattice, sums, lam, K).
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -102,10 +102,6 @@ class HomogenizationData:
         return self.lam**2 * self.delta
 
 
-_cache: dict[tuple, HomogenizationData] = {}
-_cache_lock = threading.Lock()
-
-
 def homogenization_data(
     spec: LatticeSpec,
     lam: float,
@@ -115,15 +111,15 @@ def homogenization_data(
 ) -> HomogenizationData:
     """Unit-load coefficient set for one (lattice, hole radius) pair, cached.
 
-    The cache key holds the given sums object itself (LatticeSums hashes
-    by identity), which keeps it alive, so its identity cannot be reused
-    by another set of sums while the entry exists.
+    The cache keeps the 128 latest sets.  Its key holds the given sums
+    object itself (LatticeSums hashes by identity), which keeps it alive,
+    so its identity cannot be reused by another set of sums meanwhile.
     """
-    key = (spec.a, spec.omega1, lam, K, sums)
-    with _cache_lock:
-        hit = _cache.get(key)
-    if hit is not None:
-        return hit
+    return _homogenization_data(spec, lam, K, sums)
+
+
+@lru_cache(maxsize=128)
+def _homogenization_data(spec: LatticeSpec, lam: float, K: int, sums: LatticeSums) -> HomogenizationData:
     plus, minus = unit_load_coefficients(spec, lam, K=K, sums=sums)
     vals = {
         "alpha0_plus": plus.alpha0,
@@ -137,7 +133,7 @@ def homogenization_data(
             raise ConsistencyError(
                 f"unit-load coefficient {name} = {v} is not real", residual=abs(np.imag(v))
             )
-    data = HomogenizationData(
+    return HomogenizationData(
         a=spec.a,
         lam=float(lam),
         delta=float(sums.delta),
@@ -146,9 +142,6 @@ def homogenization_data(
         alpha1_minus=float(np.real(vals["alpha1_minus"])),
         beta0_minus=float(np.real(vals["beta0_minus"])),
     )
-    with _cache_lock:
-        _cache[key] = data
-    return data
 
 
 def bond_from_effective(E_eff: float, nu_eff: float, data: HomogenizationData) -> tuple[float, float]:

@@ -22,6 +22,7 @@ to rounding accuracy, and does.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from math import isfinite, lgamma
 
 import numpy as np
@@ -45,6 +46,12 @@ __all__ = [
 _COND_LIMIT = 1e12
 # Rim-traction residual accepted from a converged solution, relative to load.
 _RESIDUAL_TOL = 1e-6
+# Equispaced rim points at which the arbiter (`fields.rim_defect`) checks a solution.
+_RIM_POINTS = 256
+
+
+def _rim_angles() -> np.ndarray:
+    return np.linspace(0.0, 2 * np.pi, _RIM_POINTS, endpoint=False)
 
 
 @dataclass(frozen=True)
@@ -110,6 +117,11 @@ class SeriesTables:
     row/column j-1 for j = 1..K; they are dimensionless.  inner_tail is
     the largest last term (m = K) of their cross sums over m, in the same
     dimensionless units: a bound on the size of the truncated couplings.
+
+    powers are the series rows' exponents p of z0^(2p).  rim_powers holds
+    (t^2)^p at the _RIM_POINTS rim points t = lam e^(i theta): the rim
+    arbiter's power matrix, formed on first use and shared by every
+    solution on these tables (~0.23 MB at T = 40, K = 16).
     """
 
     sums: LatticeSums
@@ -122,6 +134,12 @@ class SeriesTables:
     dplus: np.ndarray
     dminus: np.ndarray
     inner_tail: float
+    powers: np.ndarray
+
+    @cached_property
+    def rim_powers(self) -> np.ndarray:
+        t = self.lam * np.exp(1j * _rim_angles())
+        return np.power.outer(t * t, self.powers)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,6 +198,7 @@ def series_tables(sums: LatticeSums, lam: float, K: int) -> SeriesTables:
     return SeriesTables(
         sums=sums, lam=lam, K=K, r=r, rho=rho, rhat=rhat, b=b,
         dplus=base + cross, dminus=base - cross, inner_tail=inner_tail,
+        powers=np.concatenate([np.arange(T), -np.arange(1, K + 1)]),
     )
 
 
@@ -239,7 +258,7 @@ def solve_coefficients(
     # Collapse the r/rho tables onto the coefficients.  Each row is one
     # power z^e of the Phi and Psi series; z*Phi' and the antiderivatives
     # over z take the factors e and 1/(e+1).
-    powers = np.concatenate([np.arange(r.shape[0]), -np.arange(1, K + 1)])
+    powers = tables.powers
     e = 2.0 * powers
     pw = lam ** (2.0 * np.arange(1, K + 1))
     A, B = alpha * pw, beta[:K] * pw

@@ -1,5 +1,6 @@
 """Total fields: periodicity, boundary conditions, oracles."""
 
+import cmath
 import dataclasses
 import re
 
@@ -104,6 +105,30 @@ def _oracle_displacement(z, prob, coeffs, tables, nu):
         - np.conj(psi)
     )
     return np.real(disp), np.imag(disp)
+
+
+def _oracle_rim_defect(prob, coeffs, tables):
+    """The rim defect as each call formed it before the tables kept the
+    rim power matrix: a raw-series evaluation at 256 rim points."""
+    load = prob.load
+    theta = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
+    t = prob.lam * np.exp(1j * theta)
+    phi, phi_d, psi, _, _ = fields._potentials(t, coeffs, tables, fold=False)
+    return (
+        phi + np.conj(phi)
+        - (np.conj(t) * phi_d + psi) * np.exp(2j * theta)
+        + load.sigma_plus
+        + load.sigma_minus * np.exp(2j * (theta - load.alpha))
+    )
+
+
+def _bits(values):
+    """Exact bits of a tuple of numbers (repr tells -0.0 from 0.0)."""
+    return repr(tuple(values))
+
+
+def _forget():
+    fields._last = (None,) * 5
 
 
 class TestCellGeometry:
@@ -226,6 +251,114 @@ class TestEvaluator:
         series[3, 0] = np.nan
         broken = dataclasses.replace(coeffs, series=series)
         assert np.isnan(fields.boundary_residual(prob, broken, tables))
+
+
+class TestPointMemo:
+    """One point's stress and displacement share one fold and one series product."""
+
+    @staticmethod
+    def _points(spec, lam):
+        # random, rim and vertex points, Voronoi-edge points, and points on
+        # the axes (a zero imaginary part, whose sign z.conjugate() flips)
+        w1, w2 = spec.omega1, spec.omega2
+        edge = [(w1 + s * (w1 - w2)) / 2 for s in np.linspace(-1, 1, 7)]
+        edge += [e + w2 for e in edge] + [-e for e in edge]
+        zeros = [complex(0.3, 0.0), complex(-0.3, 0.0), complex(-0.3, -0.0), complex(0.0, 0.3)]
+        return [complex(z) for z in _evaluator_points(spec, lam, count=30, seed=47)] + edge + zeros
+
+    def _calls(self, z, prob, coeffs, tables, before):
+        """Alternating stress/displacement calls at z; `before` runs ahead of each."""
+        nu = 0.2668
+        out = []
+        before()
+        f = fields.total_stress(abs(z), cmath.phase(z), prob, coeffs, tables)
+        out.append(_bits(dataclasses.astuple(f)))
+        # z.conjugate() right after z: z and its twin of opposite zero sign
+        for zz in (f.z, z, z.conjugate(), z, f.z):
+            before()
+            out.append(_bits(fields.total_displacement(zz, prob, coeffs, tables, nu)))
+            before()
+            out.append(_bits(fields._potentials(zz, coeffs, tables)))
+        before()
+        out.append(_bits(dataclasses.astuple(
+            fields.total_stress(abs(z), cmath.phase(z), prob, coeffs, tables))))
+        return out
+
+    @pytest.mark.parametrize("alpha", [np.pi / 8, 0.0])
+    def test_alternating_calls_match_cleared_entry(self, spec, tables, alpha):
+        # at alpha = 0 the coefficients are real, and Psi at z = -0.3 -+ 0j
+        # differs in the sign of its zero imaginary part
+        prob = solver.ProblemSpec(spec, 0.2, solver.LoadCase(2.0, 1.0, alpha), 16)
+        coeffs = solver.solve_coefficients(prob, tables)
+        points = self._points(spec, prob.lam)
+        kept = [self._calls(z, prob, coeffs, tables, lambda: None) for z in points]
+        cleared = [self._calls(z, prob, coeffs, tables, _forget) for z in points]
+        assert kept == cleared
+
+    def test_each_coefficient_set_gets_its_own_values(self, spec, tables):
+        z = 0.31 + 0.12j
+        sets = []
+        for load in (solver.LoadCase(2.0, 1.0, 0.3), solver.LoadCase(-1.0, 0.5, 1.1)):
+            prob = solver.ProblemSpec(spec, 0.2, load, 16)
+            sets.append(solver.solve_coefficients(prob, tables))
+        sets.append(dataclasses.replace(sets[0], series=2 * sets[0].series))
+        kept = [_bits(fields._potentials(z, c, tables)) for c in sets]
+        cleared = []
+        for c in sets:
+            _forget()
+            cleared.append(_bits(fields._potentials(z, c, tables)))
+        assert kept == cleared
+        assert len(set(kept)) == 3
+
+    def test_unfolded_call_does_not_reuse_the_folded_one(self, spec, solved, tables):
+        _, coeffs = solved
+        z = 0.31 + 0.12j + spec.omega1
+        folded = _bits(fields.potentials_eval(z, coeffs, tables))
+        raw = _bits(fields.potentials_eval(z, coeffs, tables, fold=False))
+        _forget()
+        assert raw == _bits(fields.potentials_eval(z, coeffs, tables, fold=False))
+        assert raw != folded
+
+    def test_point_in_a_hole_raises_every_time(self, spec, solved, tables):
+        prob, coeffs = solved
+        z = 0.05 + spec.omega2
+        for _ in range(2):
+            with pytest.raises(errors.DomainError):
+                fields.total_stress(0.1, 0.0, prob, coeffs, tables)
+            with pytest.raises(errors.DomainError):
+                fields.total_displacement(z, prob, coeffs, tables, 0.3)
+        assert fields._last[0] != z
+
+    def test_one_fold_per_point(self, spec, solved, tables, monkeypatch):
+        prob, coeffs = solved
+        folds = []
+
+        def spy(z, spec):
+            folds.append(z)
+            return elliptic.fold_point(z, spec)
+
+        monkeypatch.setattr(fields, "fold_point", spy)
+        points = _evaluator_points(spec, prob.lam, count=20, seed=53)
+        for z in points:
+            f = fields.total_stress(abs(z), float(np.angle(z)), prob, coeffs, tables)
+            fields.total_displacement(f.z, prob, coeffs, tables, 0.3)
+        assert len(folds) == len(points)
+
+
+class TestRimPowers:
+    @pytest.mark.parametrize("a", [1.0, 246.0])
+    @pytest.mark.parametrize("ratio, K", [(0.2, 16), (0.4, 16), (0.45, 38)])
+    def test_rim_defect_matches_per_call_oracle(self, a, ratio, K):
+        spec = lattice.build_lattice(a, 1, 1)
+        sums = lattice.compute_lattice_sums(spec, s_max=40, shells=48)
+        tables = solver.series_tables(sums, ratio * a, K)
+        for load in (solver.LoadCase(2.0, -0.5, 0.7), solver.LoadCase(1.0, 1.0, 0.0)):
+            prob = solver.ProblemSpec(spec, ratio * a, load, K)
+            coeffs = solver.solve_coefficients(prob, tables, check_residual=False)
+            got = fields.rim_defect(prob, coeffs, tables)
+            ref = _oracle_rim_defect(prob, coeffs, tables)
+            assert got.tobytes() == ref.tobytes()
+        assert tables.rim_powers is tables.rim_powers
 
 
 class TestScalarPath:

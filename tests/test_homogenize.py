@@ -131,3 +131,8 @@ class TestCaching:
         # the lattice sums are the cache key; there is no default set of them
         with pytest.raises(TypeError):
             homogenize.homogenization_data(spec, 0.16)
+
+    def test_cache_is_bounded(self, spec, sums):
+        for lam in np.linspace(0.05, 0.2, 200):
+            homogenize.homogenization_data(spec, float(lam), K=8, sums=sums)
+        assert homogenize._homogenization_data.cache_info().currsize <= 128

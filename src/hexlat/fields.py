@@ -14,8 +14,19 @@ An array of points takes the vectorised path.  A single point, as
 `total_stress` and `total_displacement` take, stays in plain Python
 numbers (`cmath`/`math`, Python complex lattice periods) around that
 one series product, because numpy's per-call overhead on a scalar costs
-more than the arithmetic itself.  The last point's potentials are kept,
-so a point's stress and displacement share one fold and one product.
+more than the arithmetic itself.
+
+What a point costs beyond its fold, one series product and the closing
+arithmetic is formed once and kept:
+- per (coeffs, tables) pair, a point kernel (`_PointKernel`): the
+  periods, lam^2, the cyclic constants, alpha0/beta0/alpha1/beta1 as
+  Python complex and the complex series exponents.  One kernel is kept,
+  for the last pair evaluated, until a call names another pair; with it
+  the potentials of the last point, so a point's stress and
+  displacement share one fold and one product;
+- per lattice, the cell frame of the scalar fold (`elliptic.fold_point`);
+- per load, sigma_+, sigma_- and sigma_- e^(-+2i alpha) (`LoadCase`);
+- per tables, the rim arbiter's points and power matrix (`SeriesTables`).
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ import numpy as np
 
 from .elliptic import fold_point
 from .errors import DomainError, InvalidArgumentError
-from .solver import LoadCase, PotentialCoefficients, ProblemSpec, SeriesTables, _rim_angles
+from .solver import LoadCase, PotentialCoefficients, ProblemSpec, SeriesTables
 
 __all__ = [
     "FieldSample",
@@ -44,8 +55,38 @@ __all__ = [
     "isolated_hole_reference",
 ]
 
-# The last scalar evaluation (z, fold, coeffs, tables, result), replaced whole.
-_last = (None,) * 5
+# The point kernel of the last (coeffs, tables) pair a point was evaluated on.
+_kernel = None
+# The one NaN that every FieldSample without displacements holds: NaN != NaN
+# and hash(NaN) is its id, so equal samples must share the object.
+_NAN = float("nan")
+
+
+class _PointKernel:
+    """What a one-point evaluation needs of one (coeffs, tables) pair, in
+    Python numbers, and that pair's last point (z, fold, result).
+
+    The series exponents are kept complex: numpy would otherwise cast
+    the integer row to complex on every power (the same complex loop, so
+    the same bits).  `_potentials` keeps the kernel of the last pair by
+    reference, so the pair it is keyed on (by identity) stays alive.
+    """
+
+    __slots__ = ("coeffs", "tables", "spec", "hole", "periods", "lam2", "deltas",
+                 "alpha0", "beta0", "alpha1", "beta1", "powers", "series", "last")
+
+    def __init__(self, coeffs: PotentialCoefficients, tables: SeriesTables):
+        sums = tables.sums
+        self.coeffs, self.tables, self.spec = coeffs, tables, sums.spec
+        self.hole = tables.lam * (1 - 1e-12)
+        self.periods = sums.spec.omega1, sums.spec.omega2
+        self.lam2 = tables.lam**2
+        self.deltas = sums.delta1, sums.delta2
+        self.alpha0, self.beta0 = coeffs.alpha0, coeffs.beta0
+        self.alpha1, self.beta1 = complex(coeffs.alpha[0]), complex(coeffs.beta[0])
+        self.powers = coeffs.powers.astype(complex)
+        self.series = coeffs.series
+        self.last = (None, None, None)
 
 
 @dataclass(frozen=True)
@@ -61,8 +102,8 @@ class FieldSample:
     sigma_x: float
     sigma_y: float
     tau_xy: float
-    u2G: float = float("nan")
-    v2G: float = float("nan")
+    u2G: float = _NAN
+    v2G: float = _NAN
 
 
 def cell_boundary_radius(theta: float, a: float) -> float:
@@ -107,47 +148,53 @@ def _potentials(
     Folding and the quasi-periodic increments are those that
     `potentials_eval` and `displacement_potentials` state.
 
-    A scalar z reuses the last scalar result if z (sign of zero too), fold,
-    coeffs and tables (by identity) match.  That entry pins one coeffs/tables
-    pair; arrays and points inside a hole are never kept.
+    The constants of the (coeffs, tables) pair come from its point
+    kernel, kept until a call names another pair.  A scalar z reuses the
+    kernel's last result if z (sign of zero too) and fold match; arrays
+    and points inside a hole are never kept.
     """
-    global _last
+    global _kernel
+    k = _kernel
+    if k is None or k.coeffs is not coeffs or k.tables is not tables:
+        k = _kernel = _PointKernel(coeffs, tables)
     scalar = isinstance(z, (complex, float, int)) or np.ndim(z) == 0
     if scalar:
-        z, last = complex(z), _last
+        z = complex(z)
+        last = k.last
         # a zero part's sign can reach the results and == ignores it; repr does not
-        if last[:4] == (z, fold, coeffs, tables) and (
+        if z == last[0] and fold == last[1] and (
                 z.real and z.imag or repr(last[0]) == repr(z)):
-            return last[4]
-    sums = tables.sums
-    spec = sums.spec
-    z0, m, n = fold_point(z, spec) if fold else (z, 0, 0)
+            return last[2]
+    z0, m, n = fold_point(z, k.spec) if fold else (z, 0, 0)
     r0 = abs(z0)
-    inside = r0 < tables.lam * (1 - 1e-12)
+    inside = r0 < k.hole
     if inside if scalar else inside.any():
         i = np.flatnonzero(inside)[0]
         raise DomainError(
             f"point {np.ravel(z)[i]} lies inside a hole (folded |z0| = {np.ravel(r0)[i]:.6g})"
         )
     z2 = z0 * z0
-    v = (z2**coeffs.powers if scalar else np.power.outer(z2, coeffs.powers)) @ coeffs.series
     # the five columns: Python complex for a point, (shape of z) views for an
     # array (transpose is several times cheaper than np.moveaxis here)
-    v = v.tolist() if scalar else v.transpose(-1, *range(v.ndim - 1))
+    if scalar:
+        v = np.dot(z2**k.powers, k.series).tolist()  # np.dot: same product, less dispatch than @
+    else:
+        v = np.power.outer(z2, k.powers) @ k.series
+        v = v.transpose(-1, *range(v.ndim - 1))
     phi, phi_d = v[0], v[2] / z0
-    w = m * spec.omega1 + n * spec.omega2
+    (w1, w2), (delta1, delta2), alpha0 = k.periods, k.deltas, k.alpha0
+    w = m * w1 + n * w2
     wc = w.conjugate()
-    dw = (m * sums.delta1 + n * sums.delta2) * tables.lam**2
-    alpha1, beta1 = complex(coeffs.alpha[0]), complex(coeffs.beta[0])
+    dw = (m * delta1 + n * delta2) * k.lam2
     result = (
         phi,
         phi_d,
         v[1] - wc * phi_d,
-        z0 * v[3] + coeffs.alpha0 * w - alpha1 * dw,
-        z0 * v[4] + coeffs.beta0 * w - beta1 * dw - wc * (phi - coeffs.alpha0),
+        z0 * v[3] + alpha0 * w - k.alpha1 * dw,
+        z0 * v[4] + k.beta0 * w - k.beta1 * dw - wc * (phi - alpha0),
     )
     if scalar:
-        _last = (z, fold, coeffs, tables, result)
+        k.last = (z, fold, result)
     return result
 
 
@@ -201,15 +248,18 @@ def total_stress(
     tau_rt = -float(pol.imag)
     # Cartesian components from the total potentials (corrective + uniform)
     phi_t = phi + load.sigma_plus / 2
-    psi_t = psi - load.sigma_minus * cmath.exp(-2j * load.alpha)
+    psi_t = psi - load.minus_rotated[0]
     trace = 4 * phi_t.real
     dev = 2 * (z.conjugate() * phi_d + psi_t)
-    return FieldSample(
-        r=float(r), theta=float(theta), z=complex(z),
-        sigma_r=sigma_r, tau_rtheta=tau_rt, sigma_theta=float(trace - sigma_r),
-        sigma_x=float((trace - dev.real) / 2), sigma_y=float((trace + dev.real) / 2),
-        tau_xy=float(dev.imag / 2),
-    )
+    # one __dict__ in place of the frozen __init__'s eleven object.__setattr__
+    sample = object.__new__(FieldSample)
+    object.__setattr__(sample, "__dict__", {
+        "r": float(r), "theta": float(theta), "z": complex(z),
+        "sigma_r": sigma_r, "tau_rtheta": tau_rt, "sigma_theta": float(trace - sigma_r),
+        "sigma_x": float((trace - dev.real) / 2), "sigma_y": float((trace + dev.real) / 2),
+        "tau_xy": float(dev.imag / 2), "u2G": _NAN, "v2G": _NAN,
+    })
+    return sample
 
 
 def total_displacement(
@@ -232,7 +282,7 @@ def total_displacement(
     phi_big, _, _, phi, psi = _potentials(z, coeffs, tables)
     disp = (
         (kappa - 1.0) / 4.0 * (load.sigma1 + load.sigma2) * z
-        + load.sigma_minus * cmath.exp(2j * load.alpha) * z.conjugate()
+        + load.minus_rotated[1] * z.conjugate()
         + kappa * phi
         - z * phi_big.conjugate()
         - psi.conjugate()
@@ -247,13 +297,12 @@ def rim_defect(
     points of `tables.rim_powers` (raw series, no fold); zero for an exact
     solution, and real-linear in the load weights like the solution itself."""
     load = prob.load
-    theta = _rim_angles()
-    t = tables.lam * np.exp(1j * theta)
+    theta, t, rot = tables.rim_points
     phi, psi, zphi_d = (tables.rim_powers @ coeffs.series)[:, :3].T
     phi_d = zphi_d / t
     return (
         phi + np.conj(phi)
-        - (np.conj(t) * phi_d + psi) * np.exp(2j * theta)
+        - (np.conj(t) * phi_d + psi) * rot
         + load.sigma_plus
         + load.sigma_minus * np.exp(2j * (theta - load.alpha))
     )

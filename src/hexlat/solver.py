@@ -12,6 +12,11 @@ lam/a, so the system matrices are dimensionless and no power of lam
 above lam^(2 s_max) is formed: weighting physical-unit tables by
 lam^(2j+2k) and lam^(4m) instead overflows at K ~ 38 when a = 246.
 
+The system matrices do not depend on the load: `SeriesTables.systems`
+forms them and their condition number once per tables, and every solve
+on those tables (each load of `field`, `sweep` and `moduli`) reuses
+them with its own right-hand sides.
+
 Sign conventions that the source derivation leaves ambiguous (the
 b*delta_j1 coupling in the imaginary system and the index on the
 beta_{j+1} relation) are pinned by the boundary-residual arbiter in
@@ -21,6 +26,7 @@ to rounding accuracy, and does.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, replace
 from functools import cached_property
 from math import isfinite, lgamma
@@ -50,10 +56,6 @@ _RESIDUAL_TOL = 1e-6
 _RIM_POINTS = 256
 
 
-def _rim_angles() -> np.ndarray:
-    return np.linspace(0.0, 2 * np.pi, _RIM_POINTS, endpoint=False)
-
-
 @dataclass(frozen=True)
 class LoadCase:
     """Remote principal stresses sigma1 >= along angle alpha, sigma2 across."""
@@ -66,13 +68,23 @@ class LoadCase:
         if not all(isfinite(v) for v in (self.sigma1, self.sigma2, self.alpha)):
             raise InvalidArgumentError(f"{self} must be finite")
 
-    @property
+    # sigma_+, sigma_- and sigma_- e^(-+2i alpha) are formed once per load:
+    # every field point reads them (cached_property fills the instance
+    # __dict__ directly, which a frozen dataclass allows)
+    @cached_property
     def sigma_plus(self) -> float:
         return 0.5 * (self.sigma1 + self.sigma2)
 
-    @property
+    @cached_property
     def sigma_minus(self) -> float:
         return 0.5 * (self.sigma1 - self.sigma2)
+
+    @cached_property
+    def minus_rotated(self) -> tuple[complex, complex]:
+        """(sigma_- e^(-2i alpha), sigma_- e^(2i alpha)): minus the remote Psi,
+        and the conj(z) factor of the remote displacement."""
+        sm = self.sigma_minus
+        return sm * cmath.exp(-2j * self.alpha), sm * cmath.exp(2j * self.alpha)
 
     @property
     def weights(self) -> tuple[float, float, float]:
@@ -118,10 +130,17 @@ class SeriesTables:
     the largest last term (m = K) of their cross sums over m, in the same
     dimensionless units: a bound on the size of the truncated couplings.
 
-    powers are the series rows' exponents p of z0^(2p).  rim_powers holds
-    (t^2)^p at the _RIM_POINTS rim points t = lam e^(i theta): the rim
-    arbiter's power matrix, formed on first use and shared by every
-    solution on these tables (~0.23 MB at T = 40, K = 16).
+    powers are the series rows' exponents p of z0^(2p).
+
+    Three load-independent parts are formed on first use and kept for
+    the life of the tables, shared by every solution on them:
+    - systems: the real and imaginary system matrices and their largest
+      condition number (singular tables raise NumericalError on every
+      solve, as a raising cached_property stores nothing);
+    - rim_points: the _RIM_POINTS rim angles theta, t = lam e^(i theta)
+      and e^(2i theta);
+    - rim_powers: (t^2)^p at those points, the rim arbiter's power
+      matrix (~0.23 MB at T = 40, K = 16).
     """
 
     sums: LatticeSums
@@ -137,8 +156,34 @@ class SeriesTables:
     powers: np.ndarray
 
     @cached_property
+    def systems(self) -> tuple[np.ndarray, np.ndarray, float]:
+        K, b, rhat = self.K, self.b, self.rhat
+        col, row = rhat[:K, 0], rhat[0, :K]  # lam^(2j) r[j-1, 0] and lam^(2k) r[0, k-1]
+        # real parts: coupled to beta through the sigma_+ balance
+        Mr = np.eye(K) + self.dminus + (2.0 / (b - 1.0)) * np.outer(col, row)
+        Mr[0, 0] -= b
+        # imaginary parts: decoupled homogeneous-looking system
+        Mi = np.eye(K) - self.dplus
+        Mi[0, 0] -= b
+        try:
+            cond = max(float(np.linalg.cond(Mr)), float(np.linalg.cond(Mi)))
+        except np.linalg.LinAlgError as exc:  # SVD breakdown (non-finite entries)
+            raise NumericalError(f"truncated system cannot be solved: {exc}") from exc
+        if not np.isfinite(cond) or cond > _COND_LIMIT:
+            raise NumericalError(
+                f"truncated system is numerically singular (cond ~ {cond:.3e})", condition=cond
+            )
+        Mr.flags.writeable = Mi.flags.writeable = False
+        return Mr, Mi, cond
+
+    @cached_property
+    def rim_points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        theta = np.linspace(0.0, 2 * np.pi, _RIM_POINTS, endpoint=False)
+        return theta, self.lam * np.exp(1j * theta), np.exp(2j * theta)
+
+    @cached_property
     def rim_powers(self) -> np.ndarray:
-        t = self.lam * np.exp(1j * _rim_angles())
+        t = self.rim_points[1]
         return np.power.outer(t * t, self.powers)
 
 
@@ -204,31 +249,18 @@ def series_tables(sums: LatticeSums, lam: float, K: int) -> SeriesTables:
 
 def _assemble_and_solve(tables: SeriesTables, load: LoadCase) -> tuple[np.ndarray, float, float]:
     """Solve the two real systems; returns (alpha_1..K complex, beta1, cond)."""
-    K, b, rhat = tables.K, tables.b, tables.rhat
+    K, b = tables.K, tables.b
+    Mr, Mi, cond = tables.systems
     sp, sm_cos, sm_sin = load.weights
-    col, row = rhat[:K, 0], rhat[0, :K]  # lam^(2j) r[j-1, 0] and lam^(2k) r[0, k-1]
-
-    # real parts: coupled to beta through the sigma_+ balance
-    Mr = np.eye(K) + tables.dminus + (2.0 / (b - 1.0)) * np.outer(col, row)
-    Mr[0, 0] -= b
+    col, row = tables.rhat[:K, 0], tables.rhat[0, :K]
     rhs_r = -sp * col / (b - 1.0)
     rhs_r[0] -= sm_cos
-
-    # imaginary parts: decoupled homogeneous-looking system
-    Mi = np.eye(K) - tables.dplus
-    Mi[0, 0] -= b
     rhs_i = np.zeros(K)
     rhs_i[0] = -sm_sin
-
     try:
-        cond = max(float(np.linalg.cond(Mr)), float(np.linalg.cond(Mi)))
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
-            raise NumericalError(
-                f"truncated system is numerically singular (cond ~ {cond:.3e})", condition=cond
-            )
         ar = np.linalg.solve(Mr, rhs_r)
         ai = np.linalg.solve(Mi, rhs_i)
-    except np.linalg.LinAlgError as exc:  # SVD or factorisation breakdown (non-finite entries)
+    except np.linalg.LinAlgError as exc:  # factorisation breakdown (non-finite entries)
         raise NumericalError(f"truncated system cannot be solved: {exc}") from exc
     beta1 = (-sp - 2.0 * float(row @ ar)) / (b - 1.0)
     return ar + 1j * ai, beta1, cond

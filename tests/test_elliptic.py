@@ -117,20 +117,25 @@ class TestFolding:
         assert (m, n) == (0, 0) and z0 == 0j
 
     def test_array_fold_matches_brute_force(self, spec):
-        a, w1, w2 = spec.a, spec.omega1, spec.omega2
-        # exact ties: origin, edge midpoints, cell vertex; then their translates
-        ties = [0j, w1 / 2, -w1 / 2, (w1 + w2) / 3, a / 2, -a / 2, 0.5j * a, -0.5j * a]
-        shifted = [t + m * w1 + n * w2 for t in ties for m in (-2, 1) for n in (-1, 2)]
         rng = np.random.default_rng(17)
         rand = rng.uniform(-3, 3, 200) + 1j * rng.uniform(-3, 3, 200)
-        near = _near_voronoi_boundary(spec)
-        z = np.array(ties + shifted + list(rand) + near)
+        z = np.array(_tie_points(spec) + list(rand) + _near_voronoi_boundary(spec))
         z0, m, n = elliptic.fold_point(z, spec)
         for i, zi in enumerate(z):
             ref = _fold_brute_force(zi, spec)
             assert (m[i], n[i]) == ref[1:], zi
             assert z0[i] == ref[0]
             assert elliptic.fold_point(zi, spec) == (z0[i], m[i], n[i])
+
+    def test_scalar_fold_alternating_specs_matches_array(self, spec):
+        # the scalar fold keeps the frame of the last spec: alternate two
+        cases = []
+        for sp in (spec, lattice.build_lattice(246.0, 2, 1)):
+            z = np.array(_tie_points(sp) + _near_voronoi_boundary(sp))
+            cases.append((sp, z, elliptic.fold_point(z, sp)))
+        for i in range(len(cases[0][1])):
+            for sp, z, (z0, m, n) in cases:
+                assert elliptic.fold_point(complex(z[i]), sp) == (z0[i], m[i], n[i])
 
     def test_scalar_and_shaped_returns(self, spec):
         z0, m, n = elliptic.fold_point(1.3 - 0.4j, spec)
@@ -156,6 +161,13 @@ class TestFolding:
         for bad in (complex(np.nan, 0.0), np.array([0.1, np.inf])):
             with pytest.raises(errors.DomainError):
                 elliptic.fold_point(bad, spec)
+
+
+def _tie_points(spec):
+    """Exact ties: origin, edge midpoints, cell vertex; then their translates."""
+    a, w1, w2 = spec.a, spec.omega1, spec.omega2
+    ties = [0j, w1 / 2, -w1 / 2, (w1 + w2) / 3, a / 2, -a / 2, 0.5j * a, -0.5j * a]
+    return ties + [t + m * w1 + n * w2 for t in ties for m in (-2, 1) for n in (-1, 2)]
 
 
 def _near_voronoi_boundary(spec):

@@ -128,7 +128,7 @@ def _bits(values):
 
 
 def _forget():
-    fields._last = (None,) * 5
+    fields._kernel = None
 
 
 class TestCellGeometry:
@@ -327,7 +327,7 @@ class TestPointMemo:
                 fields.total_stress(0.1, 0.0, prob, coeffs, tables)
             with pytest.raises(errors.DomainError):
                 fields.total_displacement(z, prob, coeffs, tables, 0.3)
-        assert fields._last[0] != z
+        assert fields._kernel.last[0] != z
 
     def test_one_fold_per_point(self, spec, solved, tables, monkeypatch):
         prob, coeffs = solved
@@ -343,6 +343,71 @@ class TestPointMemo:
             f = fields.total_stress(abs(z), float(np.angle(z)), prob, coeffs, tables)
             fields.total_displacement(f.z, prob, coeffs, tables, 0.3)
         assert len(folds) == len(points)
+
+
+class TestPointKernel:
+    """A one-point evaluation reads the constants of its (coeffs, tables)
+    pair from one kept kernel, which never serves another pair."""
+
+    @pytest.mark.parametrize("a", [1.0, 246.0])
+    def test_alternating_pairs_match_cleared_kernel(self, a):
+        spec = lattice.build_lattice(a, 1, 1)
+        sums = lattice.compute_lattice_sums(spec, s_max=40, shells=48)
+        solved = []
+        for ratio, K, load in ((0.2, 16, solver.LoadCase(2.0, 1.0, 0.3)),
+                               (0.45, 38, solver.LoadCase(-1.0, 0.5, 1.1))):
+            tables = solver.series_tables(sums, ratio * a, K)
+            prob = solver.ProblemSpec(spec, ratio * a, load, K)
+            solved.append((prob, solver.solve_coefficients(prob, tables), tables))
+        (p1, c1, t1), (p2, c2, t2) = solved
+        # consecutive pairs share the coeffs or the tables, so a kernel keyed
+        # on either alone is reused where it must not be
+        pairs = [(p1, c1, t1), (p1, c1, t2), (p2, c2, t2), (p2, c2, t1)]
+        points = [complex(z) for z in _evaluator_points(spec, 0.45 * a, count=24, seed=61)]
+
+        def calls(before):
+            out = []
+            for i, z in enumerate(points):
+                prob, coeffs, tables = pairs[i % len(pairs)]
+                before()
+                f = fields.total_stress(abs(z), cmath.phase(z), prob, coeffs, tables)
+                before()
+                u = fields.total_displacement(f.z, prob, coeffs, tables, 0.3)
+                before()
+                out.append(_bits(dataclasses.astuple(f) + u + fields._potentials(z, coeffs, tables)))
+            return out
+
+        assert calls(lambda: None) == calls(_forget)
+
+    def test_dropped_copies_never_meet_a_stale_kernel(self, spec, solved, tables):
+        prob, coeffs = solved
+        z = 0.31 + 0.12j
+        ids, kept, cleared = [], [], []
+        for k in range(1, 41):
+            copy = dataclasses.replace(coeffs, series=k * coeffs.series)
+            ids.append(id(copy))
+            kept.append(_bits(fields.total_displacement(z, prob, copy, tables, 0.3)))
+            _forget()
+            cleared.append(_bits(fields.total_displacement(z, prob, copy, tables, 0.3)))
+            del copy
+        # CPython hands the ids of dropped copies to new ones, so a kernel
+        # keyed on id() would meet them here
+        assert len(set(ids)) < len(ids)
+        assert kept == cleared
+
+    def test_field_sample_contract(self, spec, solved, tables):
+        prob, coeffs = solved
+        one = fields.total_stress(0.3, 0.4, prob, coeffs, tables)
+        _forget()
+        two = fields.total_stress(0.3, 0.4, prob, coeffs, tables)
+        built = fields.FieldSample(*dataclasses.astuple(one)[:9])
+        assert one is not two
+        assert one == two == built and hash(one) == hash(two) == hash(built)
+        assert dataclasses.astuple(one) == dataclasses.astuple(two)
+        assert list(vars(one)) == [f.name for f in dataclasses.fields(fields.FieldSample)]
+        assert np.isnan(one.u2G) and np.isnan(one.v2G)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            one.sigma_x = 0.0
 
 
 class TestRimPowers:

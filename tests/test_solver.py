@@ -124,6 +124,37 @@ class TestLoadCase:
             assert exc.value.residual is res
 
 
+class TestSystemCache:
+    """The system matrices and their condition number do not depend on the
+    load: one pair of cond calls serves every solve on the same tables."""
+
+    def test_one_cond_per_matrix_for_many_loads(self, spec, sums, monkeypatch):
+        calls = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda m, *args: calls.append(m) or cond(m, *args))
+        tables = solver.series_tables(sums, 0.2, 16)
+        conditions = {
+            solver.solve_coefficients(
+                solver.ProblemSpec(spec, 0.2, solver.LoadCase(2.0, -1.0, ang), 16), tables
+            ).condition
+            for ang in np.linspace(0.0, np.pi, 7)
+        }
+        assert len(calls) == 2
+        assert conditions == {max(cond(m) for m in calls)}
+
+    def test_singular_tables_raise_on_every_solve(self, spec, tables):
+        nan_entry = tables.dplus.copy()
+        nan_entry[1, 2] = np.nan  # numpy's SVD fails to converge
+        prob = solver.ProblemSpec(spec, 0.2, solver.LoadCase(2.0, 1.0, 0.0), 16)
+        # dplus ~ I leaves the imaginary system finite, factorisable and
+        # numerically singular (cond ~ 1e13)
+        for dplus in (nan_entry, (1 - 1e-14) * np.eye(16)):
+            broken = dataclasses.replace(tables, dplus=dplus)
+            for _ in range(2):
+                with pytest.raises(errors.NumericalError):
+                    solver.solve_coefficients(prob, broken)
+
+
 class TestSolution:
     def test_nan_residual_fails_closed(self, spec, tables, monkeypatch):
         monkeypatch.setattr(fields, "boundary_residual", lambda *args, **kwargs: float("nan"))

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .fields import cell_boundary_radius, rim_defect, total_displacement, total_stress
 from .homogenize import bond_from_effective, effective_from_bond, homogenization_data, isotropy_check
-from .lattice import build_lattice, compute_lattice_sums, lattice_from_alpha
+from .lattice import _MAX_ORDER, build_lattice, compute_lattice_sums, lattice_from_alpha
 from .solver import (
     UNIT_LOADS, LoadCase, ProblemSpec, gate_residual, series_tables, solve_coefficients,
 )
@@ -72,8 +72,10 @@ _DEFAULTS = {
 }
 
 _INT_KEYS = {"m", "n", "K", "shells", "s_max", "n_r", "n_alpha", "n_lambda"}
-# Sample counts of the curves a run plots; a curve needs two points.
+# Sample counts of the curves a run plots: a curve needs two points, and
+# more than _MAX_SAMPLES only make longer files.
 _COUNT_KEYS = ("n_r", "n_alpha", "n_lambda")
+_MAX_SAMPLES = 10_000
 _STR_KEYS = {"direction", "r_factors", "alphas"}
 
 
@@ -115,8 +117,10 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             raise ConfigurationError(f"unknown config key {key!r}")
         cfg[key] = _parse_value(key, raw)
     for key in _COUNT_KEYS:
-        if cfg[key] < 2:
-            raise ConfigurationError(f"key {key!r}: need at least 2 samples, got {cfg[key]}")
+        if not 2 <= cfg[key] <= _MAX_SAMPLES:
+            raise ConfigurationError(f"{key} must lie in [2, {_MAX_SAMPLES}], got {cfg[key]}")
+    if cfg["K"] + 2 > _MAX_ORDER:  # the solve needs lattice sums to order K + 2
+        raise ConfigurationError(f"K must be at most {_MAX_ORDER - 2}, got {cfg['K']}")
     # checked for every command; the config keeps (and check.json echoes) the string
     for key in ("alphas", "r_factors"):
         _float_list(cfg[key], key)
@@ -265,21 +269,21 @@ def _cut(cfg: dict, out: Path, spec, lam: float, theta: float, radii, angles):
     """Write field.csv of the cut at theta: the radii, for every load angle.
     Returns the values[load, radius, column] written and their checks.
 
-    Solution, fields and rim defect are real-linear in the load weights,
-    so the three UNIT_LOADS are solved and evaluated once and each load is
-    their weighted sum.  Each load is gated on its own residual
-    max|sum_i w_i D_i| over the rim (D_i: unit load i's defect), as
-    solve_coefficients gates one load.  The unit loads are not gated: at
-    their unit scale they may miss a gate that a superposed load meets.
+    Fields and rim defect are real-linear in the load weights, so each
+    point is evaluated once per unit-load solution of `tables.basis`, and
+    each load's values are their weighted sum.  One product gates every
+    load on its own residual max|sum_i w_i D_i| over the rim (D_i: unit
+    load i's defect), as solve_coefficients gates one load.  The unit
+    loads are not gated: at their unit scale they may miss a gate that a
+    superposed load meets.
     """
     if cfg["nu_eff"] is not None:
         raise ConfigurationError("field displacements take the bond Poisson ratio nu, not nu_eff")
     nu = 0.2668 if cfg["nu"] is None else cfg["nu"]
     tables = series_tables(_lattice_sums(cfg, spec), lam, cfg["K"])
     defects, units = [], []
-    for unit in UNIT_LOADS:
+    for unit, coeffs in zip(UNIT_LOADS, tables.basis):
         prob = ProblemSpec(spec, lam, unit, cfg["K"])
-        coeffs = solve_coefficients(prob, tables, check_residual=False)
         defects.append(rim_defect(prob, coeffs, tables))
         for r in radii:
             f = total_stress(r, theta, prob, coeffs, tables)

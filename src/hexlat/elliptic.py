@@ -107,27 +107,10 @@ _CORNER_DM, _CORNER_DN = np.array(_CORNERS).T
 _TIE_UNITS = 1e12
 
 
-def _cell_frame(spec: LatticeSpec) -> tuple:
-    """(omega1, omega2, a, conj(omega2)/a, du, conj(omega1)/a, dv) of spec:
-    the periods and what `_cell_coordinates` divides by.
-
-    One factor of each product is taken in cell units (divided by a):
-    in physical units omega1*conj(omega2) ~ a^2 overflows for a >~ 1e154.
-    """
-    w1, w2, a = spec.omega1, spec.omega2, spec.a
-    w1c, w2c = w1.conjugate() / a, w2.conjugate() / a
-    return w1, w2, a, w2c, (w1 * w2c).imag, w1c, (w1c * w2).imag
-
-
 def _cell_coordinates(z, frame: tuple):
     """Real (u, v) with z = u*omega1 + v*omega2, for a scalar or an array."""
     _, _, _, w2c, du, w1c, dv = frame
     return (z * w2c).imag / du, (w1c * z).imag / dv
-
-
-# The frame of the last spec a scalar was folded on, (spec, frame), replaced
-# whole; keeping the spec keeps the identity it is keyed on.
-_scalar_frame = (None, None)
 
 
 def fold_point(z: complex | np.ndarray, spec: LatticeSpec):
@@ -142,18 +125,15 @@ def fold_point(z: complex | np.ndarray, spec: LatticeSpec):
     are broken deterministically by (|z0|, m, n) ordering, with |z0|/a
     rounded to 12 decimals.  A scalar z runs in plain Python and returns
     (complex, int, int); an array returns arrays (z0, m, n) of its shape.
-    Scalar folds keep the cell frame of the last spec they were given.
+    Both read the cell frame that the lattice keeps (`spec.cell_frame`).
     """
-    global _scalar_frame
+    frame = spec.cell_frame
+    w1, w2, a = frame[:3]
     # Python numbers are tested first: np.ndim on one costs half a scalar fold
     if isinstance(z, (complex, float, int)) or np.ndim(z) == 0:
         z = complex(z)
         if not cmath.isfinite(z):
             raise DomainError(f"cannot fold a non-finite point {z}")
-        if _scalar_frame[0] is not spec:
-            _scalar_frame = spec, _cell_frame(spec)
-        frame = _scalar_frame[1]
-        w1, w2, a = frame[:3]
         u, v = _cell_coordinates(z, frame)
         m0, n0 = math.floor(u), math.floor(v)
         best = None
@@ -167,8 +147,6 @@ def fold_point(z: complex | np.ndarray, spec: LatticeSpec):
     za = np.asarray(z, dtype=complex)
     if not np.isfinite(za).all():
         raise DomainError(f"cannot fold a non-finite point {z}")
-    frame = _cell_frame(spec)
-    w1, w2, a = frame[:3]
     u, v = _cell_coordinates(za.reshape(-1, 1), frame)
     m = np.floor(u).astype(int) + _CORNER_DM
     n = np.floor(v).astype(int) + _CORNER_DN

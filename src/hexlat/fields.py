@@ -24,7 +24,7 @@ arithmetic is formed once and kept:
   for the last pair evaluated, until a call names another pair; with it
   the potentials of the last point, so a point's stress and
   displacement share one fold and one product;
-- per lattice, the cell frame of the scalar fold (`elliptic.fold_point`);
+- per lattice, the cell frame of the fold (`LatticeSpec.cell_frame`);
 - per load, sigma_+, sigma_- and sigma_- e^(-+2i alpha) (`LoadCase`);
 - per tables, the rim arbiter's points and power matrix (`SeriesTables`).
 """

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,9 @@ _RING_EPS = 1e-16
 # Largest ring count accepted: the sums build (2*shells+1)^2 index grids up
 # to 2*shells rings (about 2 s and 360 MB at the cap).
 _MAX_SHELLS = 512
+# Largest sum order accepted: the solver's tables are s_max x s_max, and the
+# factorial quotients of their entries overflow near s_max = 512.
+_MAX_ORDER = 256
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,19 @@ class LatticeSpec:
     def __post_init__(self):
         if not self.a > 0:
             raise InvalidArgumentError(f"lattice constant must be positive, got {self.a}")
+
+    @cached_property
+    def cell_frame(self) -> tuple:
+        """(omega1, omega2, a, conj(omega2)/a, du, conj(omega1)/a, dv): the
+        periods and what `elliptic.fold_point` divides by to find a point's
+        cell coordinates, formed once per lattice.
+
+        One factor of each product is taken in cell units (divided by a):
+        in physical units omega1*conj(omega2) ~ a^2 overflows for a >~ 1e154.
+        """
+        w1, w2, a = self.omega1, self.omega2, self.a
+        w1c, w2c = w1.conjugate() / a, w2.conjugate() / a
+        return w1, w2, a, w2c, (w1 * w2c).imag, w1c, (w1c * w2).imag
 
 
 def chiral_angle(m: int, n: int) -> float:
@@ -252,11 +269,11 @@ def compute_lattice_sums(
     everything term by term and serves as the oracle.  Raises
     PrecisionError when the outermost ring still contributes more than
     tail_tol of the slowest sums, and InvalidArgumentError when shells
-    lies outside [2, 512] or the rescaling to spec.a cannot be
-    represented (a^(+-2 s_max) not a finite, normal double).
+    lies outside [2, 512], s_max outside [3, 256], or the rescaling to
+    spec.a is not representable (a^(+-2 s_max) not a finite, normal double).
     """
-    if s_max < 3:
-        raise InvalidArgumentError(f"s_max must be >= 3, got {s_max}")
+    if not 3 <= s_max <= _MAX_ORDER:
+        raise InvalidArgumentError(f"s_max must lie in [3, {_MAX_ORDER}], got {s_max}")
     if not 2 <= shells <= _MAX_SHELLS:
         raise InvalidArgumentError(f"shells must lie in [2, {_MAX_SHELLS}], got {shells}")
     if method not in ("hybrid", "direct"):

@@ -12,10 +12,10 @@ lam/a, so the system matrices are dimensionless and no power of lam
 above lam^(2 s_max) is formed: weighting physical-unit tables by
 lam^(2j+2k) and lam^(4m) instead overflows at K ~ 38 when a = 246.
 
-The system matrices do not depend on the load: `SeriesTables.systems`
-forms them and their condition number once per tables, and every solve
-on those tables (each load of `field`, `sweep` and `moduli`) reuses
-them with its own right-hand sides.
+The system matrices do not depend on the load, and every coefficient
+is real-linear in the load weights (sigma_+, sigma_- cos 2alpha,
+sigma_- sin 2alpha): the three `UNIT_LOADS` are solved once per tables
+(`SeriesTables.basis`), and each load weights that basis and is gated.
 
 Sign conventions that the source derivation leaves ambiguous (the
 b*delta_j1 coupling in the imaginary system and the index on the
@@ -126,17 +126,17 @@ class SeriesTables:
     the dimensionless lam^(2j+2k+2) * r.
 
     dplus/dminus are the (K x K) weighted matrices lam^(2j+2k) d+-, with
-    row/column j-1 for j = 1..K; they are dimensionless.  inner_tail is
-    the largest last term (m = K) of their cross sums over m, in the same
-    dimensionless units: a bound on the size of the truncated couplings.
+    row/column j-1 for j = 1..K; they are dimensionless.
 
     powers are the series rows' exponents p of z0^(2p).
 
-    Three load-independent parts are formed on first use and kept for
+    Four load-independent parts are formed on first use and kept for
     the life of the tables, shared by every solution on them:
     - systems: the real and imaginary system matrices and their largest
       condition number (singular tables raise NumericalError on every
       solve, as a raising cached_property stores nothing);
+    - basis: the solutions of the three UNIT_LOADS, ungated (residual
+      NaN); a load's solution is its weights applied to them;
     - rim_points: the _RIM_POINTS rim angles theta, t = lam e^(i theta)
       and e^(2i theta);
     - rim_powers: (t^2)^p at those points, the rim arbiter's power
@@ -152,7 +152,6 @@ class SeriesTables:
     b: float
     dplus: np.ndarray
     dminus: np.ndarray
-    inner_tail: float
     powers: np.ndarray
 
     @cached_property
@@ -175,6 +174,49 @@ class SeriesTables:
             )
         Mr.flags.writeable = Mi.flags.writeable = False
         return Mr, Mi, cond
+
+    @cached_property
+    def basis(self) -> tuple[PotentialCoefficients, ...]:
+        K, b, lam, r = self.K, self.b, self.lam, self.r
+        Mr, Mi, cond = self.systems
+        col, row = self.rhat[:K, 0], self.rhat[0, :K]
+        # the unit loads' right-hand sides as columns
+        sp, sm_cos, sm_sin = np.array([load.weights for load in UNIT_LOADS]).T
+        rhs_r = -np.outer(col, sp) / (b - 1.0)
+        rhs_r[0] -= sm_cos
+        rhs_i = np.zeros((K, 3))
+        rhs_i[0] = -sm_sin
+        try:
+            ar = np.linalg.solve(Mr, rhs_r)
+            ai = np.linalg.solve(Mi, rhs_i)
+        except np.linalg.LinAlgError as exc:  # factorisation breakdown (non-finite entries)
+            raise NumericalError(f"truncated system cannot be solved: {exc}") from exc
+        alpha = (ar + 1j * ai).T  # row i: UNIT_LOADS[i], as in every array below
+        # beta_(j+1) = (2j+1) alpha_j + sum_k lam^(2j+2k) r[j, k-1] conj(alpha_k)
+        beta = np.column_stack([
+            (-sp - 2.0 * (row @ ar)) / (b - 1.0),
+            (2 * np.arange(1, K + 1) + 1) * alpha + np.conj(alpha) @ self.rhat[1 : K + 1, :K].T,
+        ])
+        alpha0, beta0 = b / 2.0 * beta[:, 0], b * np.conj(alpha[:, 0])
+
+        # Collapse the r/rho tables onto the coefficients.  Each row is one
+        # power z^e of the Phi and Psi series; z*Phi' and the antiderivatives
+        # over z take the factors e and 1/(e+1).
+        e = 2.0 * self.powers
+        pw = lam ** (2.0 * np.arange(1, K + 1))
+        A, B = alpha * pw, beta[:, :K] * pw
+        phi_rows = np.hstack([A @ r[:, :K].T, A])
+        psi_rows = np.hstack([B @ r[:, :K].T - A @ self.rho[:, :K].T, B])
+        series = np.stack([phi_rows, psi_rows, e * phi_rows, phi_rows / (e + 1), psi_rows / (e + 1)], -1)
+        series[:, 0] += np.column_stack([alpha0, beta0, np.zeros(3), alpha0, beta0])
+        alpha.flags.writeable = beta.flags.writeable = series.flags.writeable = False
+        return tuple(
+            PotentialCoefficients(
+                alpha=alpha[i], beta=beta[i], alpha0=complex(alpha0[i]), beta0=complex(beta0[i]),
+                condition=cond, residual=float("nan"), series=series[i], powers=self.powers,
+            )
+            for i in range(3)
+        )
 
     @cached_property
     def rim_points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -239,75 +281,32 @@ def series_tables(sums: LatticeSums, lam: float, K: int) -> SeriesTables:
     base = (1 - 2 * jj)[:, None] * rhat[1 : K + 1, :K] - (1 + 2 * jj) * rhat[:K, 1 : K + 1]
     base += rhohat[:K, :K]
     cross = rhat[:K, 1 : K + 1] @ rhat[1 : K + 1, :K]
-    inner_tail = float(np.max(np.abs(rhat[:K, K])) * np.max(np.abs(rhat[K, :K])))
     return SeriesTables(
         sums=sums, lam=lam, K=K, r=r, rho=rho, rhat=rhat, b=b,
-        dplus=base + cross, dminus=base - cross, inner_tail=inner_tail,
+        dplus=base + cross, dminus=base - cross,
         powers=np.concatenate([np.arange(T), -np.arange(1, K + 1)]),
     )
 
 
-def _assemble_and_solve(tables: SeriesTables, load: LoadCase) -> tuple[np.ndarray, float, float]:
-    """Solve the two real systems; returns (alpha_1..K complex, beta1, cond)."""
-    K, b = tables.K, tables.b
-    Mr, Mi, cond = tables.systems
-    sp, sm_cos, sm_sin = load.weights
-    col, row = tables.rhat[:K, 0], tables.rhat[0, :K]
-    rhs_r = -sp * col / (b - 1.0)
-    rhs_r[0] -= sm_cos
-    rhs_i = np.zeros(K)
-    rhs_i[0] = -sm_sin
-    try:
-        ar = np.linalg.solve(Mr, rhs_r)
-        ai = np.linalg.solve(Mi, rhs_i)
-    except np.linalg.LinAlgError as exc:  # factorisation breakdown (non-finite entries)
-        raise NumericalError(f"truncated system cannot be solved: {exc}") from exc
-    beta1 = (-sp - 2.0 * float(row @ ar)) / (b - 1.0)
-    return ar + 1j * ai, beta1, cond
-
-
-def solve_coefficients(
-    prob: ProblemSpec, tables: SeriesTables, check_residual: bool = True
-) -> PotentialCoefficients:
-    """Solve for all potential coefficients of one load case.
-
-    With check_residual (default) the rim traction of the assembled
-    solution is evaluated and a ConsistencyError raised unless it is
-    within 1e-6 of the load scale (a NaN residual fails).
-    """
+def solve_coefficients(prob: ProblemSpec, tables: SeriesTables) -> PotentialCoefficients:
+    """All potential coefficients of one load case: its weights applied to
+    the unit-load basis of the tables, then gated on their rim traction
+    (ConsistencyError unless within 1e-6 of the load scale; NaN fails)."""
     if tables.K != prob.K or tables.lam != prob.lam:
         raise ConfigurationError("tables were built for a different (lam, K)")
-    K, lam, b, r = prob.K, prob.lam, tables.b, tables.r
-    alpha, beta1, cond = _assemble_and_solve(tables, prob.load)
+    from . import fields  # deferred: fields depends on this module's types
 
-    # beta_(j+1) = (2j+1) alpha_j + sum_k lam^(2j+2k) r[j, k-1] conj(alpha_k)
-    beta = np.empty(K + 1, dtype=complex)
-    beta[0] = beta1
-    beta[1:] = (2 * np.arange(1, K + 1) + 1) * alpha + tables.rhat[1 : K + 1, :K] @ np.conj(alpha)
-    alpha0 = complex(b / 2.0 * beta1)
-    beta0 = complex(b * np.conj(alpha[0]))
-
-    # Collapse the r/rho tables onto the coefficients.  Each row is one
-    # power z^e of the Phi and Psi series; z*Phi' and the antiderivatives
-    # over z take the factors e and 1/(e+1).
-    powers = tables.powers
-    e = 2.0 * powers
-    pw = lam ** (2.0 * np.arange(1, K + 1))
-    A, B = alpha * pw, beta[:K] * pw
-    phi_rows = np.concatenate([r[:, :K] @ A, A])
-    psi_rows = np.concatenate([r[:, :K] @ B - tables.rho[:, :K] @ A, B])
-    series = np.column_stack([phi_rows, psi_rows, e * phi_rows, phi_rows / (e + 1), psi_rows / (e + 1)])
-    series[0] += [alpha0, beta0, 0.0, alpha0, beta0]
-    coeffs = PotentialCoefficients(
-        alpha=alpha, beta=beta, alpha0=alpha0, beta0=beta0,
-        condition=cond, residual=float("nan"), series=series, powers=powers,
+    units, (w0, w1, w2) = tables.basis, prob.load.weights
+    alpha, beta, alpha0, beta0, series = (
+        w0 * getattr(units[0], name) + w1 * getattr(units[1], name) + w2 * getattr(units[2], name)
+        for name in ("alpha", "beta", "alpha0", "beta0", "series")
     )
-    if check_residual:
-        from . import fields  # deferred: fields depends on this module's types
-
-        res = gate_residual(fields.boundary_residual(prob, coeffs, tables), prob.load)
-        coeffs = replace(coeffs, residual=res)
-    return coeffs
+    coeffs = PotentialCoefficients(
+        alpha=alpha, beta=beta, alpha0=alpha0, beta0=beta0, condition=units[0].condition,
+        residual=float("nan"), series=series, powers=tables.powers,
+    )
+    res = gate_residual(fields.boundary_residual(prob, coeffs, tables), prob.load)
+    return replace(coeffs, residual=res)
 
 
 def gate_residual(res: float, load: LoadCase) -> float:

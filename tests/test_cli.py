@@ -1,5 +1,6 @@
 """CLI: artifacts, exit codes, determinism, and figure-level trends."""
 
+import functools
 import json
 import math
 import tempfile
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from hexlat import cli, fields, lattice, solver
 from hexlat.cli import load_config, main
+from test_solver import _per_load_oracle
 
 
 def run(tmp_path, *args):
@@ -125,6 +127,25 @@ class TestConfig:
         # the index grid of 10^7 rings would need petabytes
         code, out = run(tmp_path, "sums", "a=1", "shells=10000000")
         assert code == 2
+        assert not (out / "check.json").exists()
+
+    @pytest.mark.parametrize("args", [
+        ("sums", "s_max=10000000000000"),
+        ("solve", "K=10000000000000"),
+        ("field", "n_r=10000000000000"),
+        ("sweep", "n_alpha=10000000000000"),
+        ("moduli", "direction=bond_to_effective", "nu=0.3", "n_lambda=10000000000000"),
+        ("sums", "s_max=257"),
+        ("solve", "K=255"),
+    ])
+    def test_size_keys_capped(self, tmp_path, capsys, args):
+        # 10^13 would ask numpy for terabytes; the message names the key set
+        # (for K, not the lattice-sum order K + 2 derived from it)
+        code, out = run(tmp_path, args[0], "a=1", *args[1:])
+        assert code == 2
+        key = args[-1].split("=")[0]
+        err = capsys.readouterr().err
+        assert f" {key} must" in err and err.count(" must") == 1
         assert not (out / "check.json").exists()
 
 
@@ -311,9 +332,10 @@ class TestSweep:
 
 
 def _per_load_cut(args, rows):
-    """Oracle for field.csv: every load solved and arbitrated on its own, each
-    point evaluated with that load's coefficients.  Returns (rows, worst
-    residual, condition) for the (r, theta, alpha) of the given rows."""
+    """Oracle for field.csv: every load solved and arbitrated on its own,
+    without the unit-load basis, each point evaluated with that load's
+    coefficients.  Returns (rows, worst residual, condition) for the
+    (r, theta, alpha) of the given rows."""
     cfg = load_config(None, list(args))
     spec, lam = cli._resolve_geometry(cfg)
     K = cfg["K"]
@@ -326,9 +348,10 @@ def _per_load_cut(args, rows):
         if ang not in cache:
             load = solver.LoadCase(cfg["sigma1"], cfg["sigma2"], ang)
             prob = solver.ProblemSpec(spec, lam, load, K)
-            cache[ang] = prob, solver.solve_coefficients(prob, tables)
-            worst = max(worst, cache[ang][1].residual)
-            cond = max(cond, cache[ang][1].condition)
+            coeffs = _per_load_oracle(prob, tables)
+            cache[ang] = prob, coeffs
+            worst = max(worst, solver.gate_residual(fields.boundary_residual(prob, coeffs, tables), load))
+            cond = max(cond, coeffs.condition)
         prob, coeffs = cache[ang]
         f = fields.total_stress(r, theta, prob, coeffs, tables)
         u, v = fields.total_displacement(f.z, prob, coeffs, tables, nu)
@@ -346,16 +369,17 @@ class TestCut:
         ("field", "a=1", "alphas=0,0.3,1.1,2.9,0.7853981633974483", "n_r=6"),
     ])
     def test_three_solves(self, tmp_path, monkeypatch, args):
-        calls = []
-
-        def counting(*a, **kw):
-            calls.append(a[0].load)
-            return solver.solve_coefficients(*a, **kw)
-
-        monkeypatch.setattr(cli, "solve_coefficients", counting)
+        # the three unit-load solutions come from one basis per run, whatever
+        # alphas/n_alpha holds, and no load is solved on its own
+        built, solved = [], []
+        basis = solver.SeriesTables.basis
+        counting = functools.cached_property(lambda tables: built.append(tables) or basis.func(tables))
+        counting.__set_name__(solver.SeriesTables, "basis")
+        monkeypatch.setattr(solver.SeriesTables, "basis", counting)
+        monkeypatch.setattr(cli, "solve_coefficients", lambda *a: solved.append(a))
         code, _ = run(tmp_path, *args)
         assert code == 0
-        assert calls == list(solver.UNIT_LOADS)
+        assert len(built) == 1 and solved == []
 
     @pytest.mark.parametrize("args", [
         ("field", "a=1", "alphas=0,0.3,1.1,2.9,-0.4", "n_r=6"),

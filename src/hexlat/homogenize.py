@@ -10,13 +10,12 @@ kappa_1 = kappa_2 are checked rather than assumed.
 
 Conversions are load-independent: the boundary conditions are pure
 tractions, so the unit-load coefficient sets depend only on the lattice
-and the hole radius; the latest 128 are cached per (lattice, sums, lam, K).
+and the hole radius.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -109,17 +108,7 @@ def homogenization_data(
     *,
     sums: LatticeSums,
 ) -> HomogenizationData:
-    """Unit-load coefficient set for one (lattice, hole radius) pair, cached.
-
-    The cache keeps the 128 latest sets.  Its key holds the given sums
-    object itself (LatticeSums hashes by identity), which keeps it alive,
-    so its identity cannot be reused by another set of sums meanwhile.
-    """
-    return _homogenization_data(spec, lam, K, sums)
-
-
-@lru_cache(maxsize=128)
-def _homogenization_data(spec: LatticeSpec, lam: float, K: int, sums: LatticeSums) -> HomogenizationData:
+    """Unit-load coefficient set for one (lattice, hole radius) pair."""
     plus, minus = unit_load_coefficients(spec, lam, K=K, sums=sums)
     vals = {
         "alpha0_plus": plus.alpha0,

@@ -1,10 +1,16 @@
 """Hexagonal lattice geometry, chiral angle, and lattice-sum constants.
 
 The period lattice is spanned by omega1 = a*sqrt(3)/2 - i*a/2 and its
-conjugate omega2.  All series constants (c_s, d_s, the cyclic constants
-delta_j and the derived real constant delta) are computed on the
+conjugate omega2.  The series constants c_s and d_s are summed on the
 normalized lattice a = 1 and rescaled, which keeps the pm^(-2s)
 coefficients inside double-precision range.
+
+The cyclic constants have a closed form.  The rotation z -> e^(i pi/3) z
+maps the lattice onto itself and omega1 onto omega2, so
+delta2 = e^(-i pi/3) delta1 and the Natanzon period defects gamma_j
+vanish.  Legendre's relation delta1*omega2 - delta2*omega1 = 2 pi i then
+fixes delta_j = delta*conj(omega_j) with delta = 2 pi/(sqrt(3) a^2),
+pi over the cell area.
 
 Index truncation uses hexagonal rings max(|m|, |n|, |m+n|) <= shells.
 This region is invariant under the lattice's six-fold rotation
@@ -37,8 +43,8 @@ __all__ = [
 
 # Relative size below which an outer ring's contribution counts as converged.
 _RING_EPS = 1e-16
-# Largest ring count accepted: the sums build (2*shells+1)^2 index grids up
-# to 2*shells rings (about 2 s and 360 MB at the cap).
+# Largest ring count accepted: the sums build one (2*shells+1)^2 index grid
+# (at the cap about 0.2 s at s_max = 40, 0.6 s at 256, and 60 MB).
 _MAX_SHELLS = 512
 # Largest sum order accepted: the solver's tables are s_max x s_max, and the
 # factorial quotients of their entries overflow near s_max = 512.
@@ -131,9 +137,10 @@ class LatticeSums:
 
     c[s] and d[s] are indexed directly by the order s (entries 0 and 1
     are unused and zero); units are a^(-2s).  delta1/delta2 are the
-    zeta-function cyclic constants, delta = Re(conj(delta1)/omega1),
-    gamma1/gamma2 the Natanzon period defects (zero for this symmetry),
-    and g2/g3 the Weierstrass invariants.
+    zeta-function cyclic constants 2*zeta(omega_j/2) = delta*conj(omega_j),
+    gamma1/gamma2 the Natanzon period defects, and g2/g3 the Weierstrass
+    invariants.  delta, delta_j and gamma_j = 0 are exact closed forms
+    (module docstring); only c, d, g2, g3 and tail come from the sums.
     """
 
     spec: LatticeSpec
@@ -196,46 +203,6 @@ def _raw_sums(s_max: int, shells: int) -> tuple[np.ndarray, np.ndarray, float]:
     return c, d, tail
 
 
-def _zeta_direct_unit(z: complex, w: np.ndarray) -> complex:
-    return 1.0 / z + np.sum(1.0 / (z - w) + 1.0 / w + z / w**2)
-
-
-def _wp_direct_unit(z: complex, w: np.ndarray) -> complex:
-    return 1.0 / z**2 + np.sum(1.0 / (z - w) ** 2 - 1.0 / w**2)
-
-
-def _natanzon_direct_unit(z: complex, w: np.ndarray) -> complex:
-    wb = np.conj(w)
-    return np.sum(wb * (1.0 / (z - w) ** 2 - 2.0 * z / w**3 - 1.0 / w**2))
-
-
-def _cyclic_constants(shells: int) -> tuple[complex, complex, complex, complex]:
-    """delta_j = 2*zeta(omega_j/2) and the Natanzon period defects gamma_j.
-
-    Direct sums for these converge only like shells^-2, so they are
-    computed at several ring counts and extrapolated in inverse powers
-    of the ring count (Richardson), which brings the Legendre residual
-    below 1e-10 and the gamma defects to the 1e-8 noise floor.
-    """
-    omega1, omega2 = _periods(1.0)
-    z0 = 0.137 + 0.289j  # generic probe point, away from lattice sites
-    levels = sorted({max(4, shells // 4), max(4, shells // 2), shells, 2 * shells})
-    rows = []
-    for nn in levels:
-        m, n, _ = hex_ring_indices(nn)
-        w = m * omega1 + n * omega2
-        d1 = 2.0 * _zeta_direct_unit(omega1 / 2, w)
-        d2 = 2.0 * _zeta_direct_unit(omega2 / 2, w)
-        nz = _natanzon_direct_unit(z0, w)
-        g1 = _natanzon_direct_unit(z0 + omega1, w) - nz - np.conj(omega1) * _wp_direct_unit(z0, w)
-        g2 = _natanzon_direct_unit(z0 + omega2, w) - nz - np.conj(omega2) * _wp_direct_unit(z0, w)
-        rows.append([d1, d2, g1, g2])
-    powers = [0.0, -2.0, -3.0, -4.0][: len(levels)]
-    van = np.array([[float(nn) ** p for p in powers] for nn in levels])
-    coef = np.linalg.solve(van, np.array(rows))
-    return tuple(complex(v) for v in coef[0])
-
-
 def recursion_c(c3: float, s_max: int) -> np.ndarray:
     """All c_s from c_3 alone via the hexagonal recursion.
 
@@ -264,9 +231,11 @@ def compute_lattice_sums(
 ) -> LatticeSums:
     """Lattice sums c_s, d_s plus all cyclic constants for `spec`.
 
-    method "hybrid" (default) takes c_s for s >= 6 from the recursion
-    seeded by the direct c_3 (exact, cancellation-free); "direct" sums
-    everything term by term and serves as the oracle.  Raises
+    c_s and d_s are summed directly over `shells` rings.  method "hybrid"
+    (default) then replaces c_s for s = 6, 9, ... by the recursion seeded
+    by the summed c_3 (exact, cancellation-free); "direct" keeps every
+    summed c_s and serves as the oracle.  Both methods take delta,
+    delta_j and gamma_j from their closed form (module docstring).  Raises
     PrecisionError when the outermost ring still contributes more than
     tail_tol of the slowest sums, and InvalidArgumentError when shells
     lies outside [2, 512], s_max outside [3, 256], or the rescaling to
@@ -303,8 +272,8 @@ def compute_lattice_sums(
         for s in range(6, s_max + 1, 3):
             c[s] = crec[s]
 
-    delta1, delta2, gamma1, gamma2 = _cyclic_constants(shells)
-    delta = float(np.real(np.conj(delta1) / _periods(1.0)[0]))
+    delta = 2.0 * math.pi / math.sqrt(3)
+    delta1, delta2 = (delta * w.conjugate() for w in _periods(1.0))
 
     # rescale from the a = 1 lattice to the physical one
     s_idx = np.arange(s_max + 1)
@@ -317,8 +286,8 @@ def compute_lattice_sums(
         delta1=delta1 / a,
         delta2=delta2 / a,
         delta=delta / a**2,
-        gamma1=gamma1 / a,
-        gamma2=gamma2 / a,
+        gamma1=0j,
+        gamma2=0j,
         g2=g2 / a**4,
         g3=g3 / a**6,
         sum_radius=shells,

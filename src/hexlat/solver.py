@@ -252,7 +252,10 @@ class PotentialCoefficients:
 
 
 def series_tables(sums: LatticeSums, lam: float, K: int) -> SeriesTables:
-    """Build the Laurent tables and system matrices for hole radius lam."""
+    """Build the Laurent tables and system matrices for hole radius lam.
+
+    Raises InvalidArgumentError unless 0 < lam < a/2 and lam^(-2K), the
+    smallest rim power of the arbiter, is a finite double."""
     a = sums.spec.a
     if not 0 < lam < a / 2:
         raise InvalidArgumentError(f"hole radius {lam} out of range (0, {a / 2})")
@@ -260,6 +263,14 @@ def series_tables(sums: LatticeSums, lam: float, K: int) -> SeriesTables:
         raise ConfigurationError(
             f"lattice sums reach s_max = {sums.s_max}, need at least K+2 = {K + 2}"
         )
+    # the positive powers of lam are bounded by the lattice range check
+    try:
+        lam ** (-2.0 * K)
+    except OverflowError:
+        raise InvalidArgumentError(
+            f"truncation K = {K} is too large for the hole radius lambda = {lam:g}: "
+            f"lambda^(-{2 * K}) is not a finite double"
+        ) from None
     T = max(K + 1, sums.s_max)
     jk = np.add.outer(np.arange(T), np.arange(T))
     j, k = np.nonzero((jk >= 1) & (jk < sums.s_max))  # orders 2 <= s = j+k+1 <= s_max

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +148,25 @@ class TestConfig:
         err = capsys.readouterr().err
         assert f" {key} must" in err and err.count(" must") == 1
         assert not (out / "check.json").exists()
+
+    def test_unrepresentable_rim_powers_rejected(self, tmp_path, capsys):
+        # the rim arbiter forms lambda^(-2K) = 0.01^(-200), beyond the largest double
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(tmp_path, "solve", "a=1", "K=100", "lambda_ratio=0.01")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "K = 100" in err and "lambda = 0.01" in err
+        assert not (out / "check.json").exists()
+
+    @pytest.mark.parametrize("args", [("K=77", "lambda_ratio=0.01"), ("K=254", "lambda_ratio=0.45")])
+    def test_representable_rim_powers_solve(self, tmp_path, args):
+        # 0.01^(-154) = 1e308 is still a finite double; 0.45^(-508) is far from the limit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(tmp_path, "solve", "a=1", *args)
+        assert code == 0
+        assert _strict_json(out / "check.json")["status"] == "ok"
 
 
 def _strict_json(path):

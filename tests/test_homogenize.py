@@ -1,14 +1,11 @@
 """Moduli conversions, round trips, and the raw jump-system oracle."""
 
-import gc
-import weakref
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexlat import errors, homogenize, lattice
+from hexlat import errors, homogenize
 
 
 @pytest.fixture(scope="module")
@@ -111,28 +108,7 @@ class TestIsotropyOracle:
 
 
 class TestCaching:
-    def test_cache_returns_same_object(self, spec, sums):
-        d1 = homogenize.homogenization_data(spec, 0.17, sums=sums)
-        d2 = homogenize.homogenization_data(spec, 0.17, sums=sums)
-        assert d1 is d2
-
-    def test_entries_keep_their_sums_alive(self, spec):
-        # an identity key is safe only while the keyed object cannot be freed
-        # and its id handed to another set of sums
-        for shells in (16, 24):
-            s = lattice.compute_lattice_sums(spec, s_max=40, shells=shells)
-            alive = weakref.ref(s)
-            assert homogenize.homogenization_data(spec, 0.18, sums=s).delta == s.delta
-            del s
-            gc.collect()
-            assert alive() is not None
-
     def test_sums_required(self, spec):
-        # the lattice sums are the cache key; there is no default set of them
+        # the lattice sums are always passed in; there is no default set of them
         with pytest.raises(TypeError):
             homogenize.homogenization_data(spec, 0.16)
-
-    def test_cache_is_bounded(self, spec, sums):
-        for lam in np.linspace(0.05, 0.2, 200):
-            homogenize.homogenization_data(spec, float(lam), K=8, sums=sums)
-        assert homogenize._homogenization_data.cache_info().currsize <= 128

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexlat import errors, lattice
+from hexlat import elliptic, errors, lattice
 
 
 class TestChiralAngle:
@@ -135,3 +135,46 @@ class TestLatticeSums:
         s = np.arange(2, 25)
         scale = np.abs(sums_direct.c[s]) + abs(sums_direct.c[3]) * 1e-8
         assert np.max(np.abs(sums.c[s] - sums_direct.c[s]) / scale) < 1e-7
+
+
+def _extrapolated_gammas(spec, levels=(16, 32, 64, 128)):
+    """gamma_j = N(z0 + omega_j) - N(z0) - conj(omega_j) p(z0) from direct
+    sums over each ring count in levels, extrapolated to infinitely many
+    rings in the powers 0, -2, -3, -4 of the ring count (Richardson)."""
+    z0 = (0.137 + 0.289j) * spec.a  # generic probe point, away from lattice sites
+    rows = []
+    for shells in levels:
+        nz = elliptic.natanzon_deriv_direct(z0, 0, spec, shells)
+        wp = elliptic.wp_deriv_direct(z0, 0, spec, shells)
+        rows.append([
+            elliptic.natanzon_deriv_direct(z0 + w, 0, spec, shells) - nz - np.conj(w) * wp
+            for w in (spec.omega1, spec.omega2)
+        ])
+    van = np.array([[float(shells) ** p for p in (0, -2, -3, -4)] for shells in levels])
+    return np.linalg.solve(van, np.array(rows))[0]
+
+
+class TestCyclicConstantOracle:
+    """The closed-form cyclic constants against the direct sums of
+    `elliptic`, which share nothing with the closed form."""
+
+    @pytest.mark.parametrize("a", [1.0, 246.0])
+    def test_delta_matches_direct_zeta(self, a):
+        # delta_j = 2 zeta(omega_j/2); the six-fold ring truncation of the
+        # direct sum converges like shells^-4 (gap 1.9e-11 at 128 rings)
+        spec = lattice.build_lattice(a, 1, 1)
+        sums = lattice.compute_lattice_sums(spec, s_max=9, shells=16)
+        for w, delta_j in ((spec.omega1, sums.delta1), (spec.omega2, sums.delta2)):
+            direct = 2 * elliptic.zeta_direct(w / 2, spec, shells=128)
+            assert abs(delta_j - direct) < 1e-10 * abs(direct)
+            assert sums.delta == pytest.approx(np.real(np.conj(direct) / w), rel=1e-10)
+
+    @pytest.mark.parametrize("a", [1.0, 246.0])
+    def test_gamma_matches_extrapolated_direct(self, a):
+        # the direct defects converge only like shells^-2 (3.7e-9 and 6.9e-9
+        # after extrapolation); the bound is that of test_gamma_defects_vanish
+        spec = lattice.build_lattice(a, 1, 1)
+        sums = lattice.compute_lattice_sums(spec, s_max=9, shells=16)
+        gamma = _extrapolated_gammas(spec)
+        assert abs(gamma[0] - sums.gamma1) * a < 1e-7
+        assert abs(gamma[1] - sums.gamma2) * a < 1e-7

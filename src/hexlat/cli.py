@@ -349,56 +349,46 @@ def cmd_sweep(cfg: dict, out: Path) -> None:
 
 def cmd_moduli(cfg: dict, out: Path) -> None:
     spec, _ = _resolve_geometry(cfg)
+    # direction -> the conversion, its inverse, the Poisson key it takes and
+    # the one it refuses, and its figure with the curves' labels and title;
+    # built per call so that wrappers set on the module's names (perfbench's
+    # tracer) see the conversions
+    modes = {
+        "bond_to_effective": (effective_from_bond, bond_from_effective, "nu", "nu_eff",
+                              "fig5.svg", "E_eff / E", "effective moduli vs hole radius"),
+        "effective_to_bond": (bond_from_effective, effective_from_bond, "nu_eff", "nu",
+                              "fig4.svg", "E / E_eff", "bond moduli vs hole radius"),
+    }
     direction = cfg["direction"]
-    if direction not in ("bond_to_effective", "effective_to_bond"):
+    if direction not in modes:
         raise ConfigurationError(
             "moduli needs direction=bond_to_effective or direction=effective_to_bond"
         )
-    if direction == "effective_to_bond":
-        if cfg["nu_eff"] is None:
-            raise ConfigurationError("direction=effective_to_bond needs nu_eff")
-        if cfg["nu"] is not None:
-            raise ConfigurationError("direction=effective_to_bond takes nu_eff, not nu")
-        nu_in = cfg["nu_eff"]
-    else:
-        if cfg["nu"] is None:
-            raise ConfigurationError("direction=bond_to_effective needs nu")
-        if cfg["nu_eff"] is not None:
-            raise ConfigurationError("direction=bond_to_effective takes nu, not nu_eff")
-        nu_in = cfg["nu"]
+    convert, invert, given, other, fig, label, title = modes[direction]
+    if cfg[given] is None:
+        raise ConfigurationError(f"direction={direction} needs {given}")
+    if cfg[other] is not None:
+        raise ConfigurationError(f"direction={direction} takes {given}, not {other}")
+    nu_in = cfg[given]
     sums = _lattice_sums(cfg, spec)
     lams = np.linspace(cfg["lam_ratio_min"], cfg["lam_ratio_max"], cfg["n_lambda"]) * spec.a
-    rows = []
-    out1, out2 = [], []
-    worst_rt = 0.0
-    worst_iso = 0.0
+    rows, outs = [], []
+    worst_rt = worst_iso = 0.0
     for lam in lams:
         data = homogenization_data(spec, float(lam), K=cfg["K"], sums=sums)
-        if direction == "effective_to_bond":
-            E, nu = bond_from_effective(1.0, nu_in, data)
-            back = effective_from_bond(E, nu, data)
-            worst_rt = max(worst_rt, abs(back[0] - 1.0), abs(back[1] - nu_in))
-            rows.append([lam, 1.0, nu_in, E, nu])
-            out1.append(E)
-            out2.append(nu)
-        else:
-            E_eff, nu_eff = effective_from_bond(1.0, nu_in, data)
-            back = bond_from_effective(E_eff, nu_eff, data)
-            worst_rt = max(worst_rt, abs(back[0] - 1.0), abs(back[1] - nu_in))
-            rows.append([lam, E_eff, nu_eff, 1.0, nu_in])
-            out1.append(E_eff)
-            out2.append(nu_eff)
-        rep = isotropy_check(data, E=1.0, nu=nu if direction == "effective_to_bond" else nu_in)
+        pair = convert(1.0, nu_in, data)
+        back = invert(*pair, data)
+        worst_rt = max(worst_rt, abs(back[0] - 1.0), abs(back[1] - nu_in))
+        outs.append(pair)
+        bond, eff = ((1.0, nu_in), pair) if given == "nu" else (pair, (1.0, nu_in))
+        rows.append([lam, *eff, *bond])
+        rep = isotropy_check(data, E=1.0, nu=bond[1])
         worst_iso = max(worst_iso, rep.det_rel_err, rep.split_plus, rep.split_minus,
                         rep.closed_form_gap)
     _write_csv(out / "moduli.csv", ["lambda", "E_eff", "nu_eff", "E", "nu"], rows)
-    if direction == "effective_to_bond":
-        fig, l1, l2, title = "fig4.svg", "E / E_eff", "nu", "bond moduli vs hole radius"
-    else:
-        fig, l1, l2, title = "fig5.svg", "E_eff / E", "nu_eff", "effective moduli vs hole radius"
     curves = [
-        Series(tuple(lams), tuple(out1), label=l1),
-        Series(tuple(lams), tuple(out2), label=l2),
+        Series(tuple(lams), tuple(E for E, _ in outs), label=label),
+        Series(tuple(lams), tuple(nu for _, nu in outs), label=other),
     ]
     (out / fig).write_text(line_plot(curves, title=title, xlabel="lambda", ylabel="value"))
     _write_check(

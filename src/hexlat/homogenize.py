@@ -1,12 +1,18 @@
 """Bond <-> effective moduli conversion for the perforated sheet.
 
-The displacement jumps of the periodic solution across one period must
-match the jumps of a homogeneous isotropic sheet.  Written in the unit
-load basis (sigma_+ = 1 and sigma_- = 1 separately) this gives closed
-forms in both directions through four real coefficients of the two
-unit-load solutions.  The raw 4x4 jump-matching system is kept as an
-internal oracle: its determinant and the isotropy collapse
-kappa_1 = kappa_2 are checked rather than assumed.
+Matching the displacement jumps of the periodic solution across one
+period to those of a homogeneous isotropic sheet gives, per hole radius,
+an affine map of two numbers (Cherkaev, Lurie & Milton, Proc. R. Soc. A
+438:519, 1992; Day et al., J. Mech. Phys. Solids 40:1031, 1992):
+
+    E_eff = e E,  nu_eff = e nu + c,  e = 1/(1 + b(p - 2q)),  c = -b(p + 2q) e,
+
+with b = lambda^2 delta, p = beta1 of the sigma_+ = 1 unit load and
+q = alpha1 of the sigma_- = 1 one.  The solver ties the other two
+unit-load coefficients to these (alpha0+ = (b/2) p, beta0- = b q).  The
+raw 4x4 jump-matching system reads all four and is kept as an internal
+oracle: its determinant, the isotropy collapse kappa_1 = kappa_2 and its
+agreement with the map are checked rather than assumed.
 
 Conversions are load-independent: the boundary conditions are pure
 tractions, so the unit-load coefficient sets depend only on the lattice
@@ -33,8 +39,8 @@ __all__ = [
     "isotropy_check",
 ]
 
-# Smallest acceptable magnitude of a conversion denominator, relative to
-# its O(1) natural scale; below this the geometry is degenerate.
+# Smallest acceptable value of the O(1) denominator 1 / e of the map;
+# below this the geometry is degenerate.
 _DEGENERATE_EPS = 1e-10
 
 
@@ -80,12 +86,13 @@ class ModuliSet:
 
 @dataclass(frozen=True)
 class HomogenizationData:
-    """The four real unit-load coefficients driving both conversions.
+    """The four real unit-load coefficients of one hole radius.
 
     alpha0_plus and beta1_plus come from the equibiaxial unit load
     (sigma_+ = 1), alpha1_minus and beta0_minus from the pure-deviator
     unit load (sigma_- = 1); delta is the real cyclic constant of the
-    lattice and a its constant.
+    lattice and a its constant.  The map's two numbers e and c read
+    beta1_plus and alpha1_minus; the 4x4 oracle reads all four.
     """
 
     a: float
@@ -99,6 +106,19 @@ class HomogenizationData:
     @property
     def lam2delta(self) -> float:
         return self.lam**2 * self.delta
+
+    @property
+    def e(self) -> float:
+        """Slope of the map: E_eff / E, the same for every bond nu."""
+        den = 1.0 + self.lam2delta * (self.beta1_plus - 2.0 * self.alpha1_minus)
+        if not den > _DEGENERATE_EPS:
+            raise NumericalError(f"degenerate geometry: conversion denominator {den:.3e}")
+        return 1.0 / den
+
+    @property
+    def c(self) -> float:
+        """Offset of the map: nu_eff = e nu + c."""
+        return -self.lam2delta * (self.beta1_plus + 2.0 * self.alpha1_minus) * self.e
 
 
 def homogenization_data(
@@ -138,17 +158,14 @@ def bond_from_effective(E_eff: float, nu_eff: float, data: HomogenizationData) -
     if not E_eff > 0:
         raise InvalidArgumentError(f"E_eff must be positive, got {E_eff}")
     _check_nu(nu_eff, "nu_eff")
-    ld = data.lam2delta
-    a0, b1 = data.alpha0_plus, data.beta1_plus
-    a1, b0 = data.alpha1_minus, data.beta0_minus
-    d0 = 2.0 - (1.0 - nu_eff) * (b0 - a1 * ld) - (1.0 + nu_eff) * (b1 * ld - 2.0 * a0)
-    d1 = 2.0 * nu_eff + (1.0 - nu_eff) * (b0 + 3.0 * a1 * ld) + (1.0 + nu_eff) * (b1 * ld + 2.0 * a0)
-    d2 = 2.0 * a1 * b1 * ld * ld - (1.0 + 2.0 * a0) * (a1 * ld + b0 - 1.0)
-    if abs(d0) < _DEGENERATE_EPS:
-        raise NumericalError(f"degenerate geometry: conversion denominator {d0:.3e}")
-    nu = d1 / d0
-    E = E_eff * 2.0 * d2 / d0
-    return E, nu
+    e, c = data.e, data.c
+    nu = (nu_eff - c) / e
+    if not -1.0 < nu < 1.0:
+        raise InvalidArgumentError(
+            f"nu_eff = {nu_eff} is unreachable at lambda = {data.lam:.6g}: bond ratios "
+            f"in (-1, 1) give nu_eff in ({c - e:.6g}, {c + e:.6g})"
+        )
+    return E_eff / e, nu
 
 
 def effective_from_bond(E: float, nu: float, data: HomogenizationData) -> tuple[float, float]:
@@ -156,16 +173,8 @@ def effective_from_bond(E: float, nu: float, data: HomogenizationData) -> tuple[
     if not E > 0:
         raise InvalidArgumentError(f"E must be positive, got {E}")
     _check_nu(nu, "nu")
-    kappa = (3.0 - nu) / (1.0 + nu)
-    ld = data.lam2delta
-    lam_p = data.alpha0_plus * (kappa - 1.0) + data.beta1_plus * ld
-    lam_m = 1.0 - data.alpha1_minus * ld * kappa - data.beta0_minus
-    den = 1.0 - nu + (1.0 + nu) * (lam_p + lam_m)
-    if abs(den) < _DEGENERATE_EPS:
-        raise NumericalError(f"degenerate geometry: conversion denominator {den:.3e}")
-    E_eff = 2.0 * E / den
-    nu_eff = ((1.0 + nu) * (lam_m - lam_p) - (1.0 - nu)) / den
-    return E_eff, nu_eff
+    e = data.e
+    return e * E, e * nu + data.c
 
 
 @dataclass(frozen=True)

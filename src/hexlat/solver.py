@@ -120,7 +120,7 @@ class ProblemSpec:
 class SeriesTables:
     """r/rho coefficient tables and the d+- system matrices for one lam.
 
-    r and rho are (T x T) with T = max(K+1, s_max), rows/columns
+    r and rho are (T x T) with T = s_max (at least K + 2), rows/columns
     indexed from 0, in physical units (r[j, k] ~ a^-(2j+2k+2)); entries
     beyond the available sum order s = j+k+1 <= s_max are zero.  rhat is
     the dimensionless lam^(2j+2k+2) * r.
@@ -271,7 +271,7 @@ def series_tables(sums: LatticeSums, lam: float, K: int) -> SeriesTables:
             f"truncation K = {K} is too large for the hole radius lambda = {lam:g}: "
             f"lambda^(-{2 * K}) is not a finite double"
         ) from None
-    T = max(K + 1, sums.s_max)
+    T = sums.s_max  # at least K + 2 by the check above
     jk = np.add.outer(np.arange(T), np.arange(T))
     j, k = np.nonzero((jk >= 1) & (jk < sums.s_max))  # orders 2 <= s = j+k+1 <= s_max
     s = j + k + 1

@@ -480,6 +480,19 @@ class TestModuli:
         assert main(["moduli", "--out", str(tmp_path), "a=1",
                      "direction=bond_to_effective", "nu_eff=0.3"]) == 2
 
+    def test_unreachable_nu_eff_blames_nu_eff(self, tmp_path, capsys):
+        # near lambda = 0.45a no bond ratio in (-1, 1) gives nu_eff = 0.45; the
+        # message names the key the run set, not the bond nu it never set
+        code, out = run(
+            tmp_path, "moduli", "a=1", "direction=effective_to_bond", "nu_eff=0.45",
+            "lam_ratio_max=0.45", "K=38",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "nu_eff = 0.45 is unreachable" in err
+        assert "Poisson ratio nu =" not in err
+        assert not (out / "check.json").exists()
+
     def test_dilute_row_is_identity(self, tmp_path):
         code, out = run(
             tmp_path, "moduli", "a=1", "direction=effective_to_bond", "nu_eff=0.3",

@@ -187,15 +187,9 @@ def _sums_checks(sums) -> dict:
         sums.delta1 * sums.spec.omega2 - sums.delta2 * sums.spec.omega1 - 2j * np.pi
     ) / (2 * np.pi)
     s = np.arange(2, sums.s_max + 1)
-    c_scale = max(abs(sums.c[3]), 1e-300)
-    d_scale = max(abs(sums.d[2]), 1e-300)
-    c_units = sums.spec.a ** (2.0 * s)  # remove the a^(-2s) dimension before comparing
-    c_zero = float(np.max(np.abs(sums.c[s] * c_units)[s % 3 != 0], initial=0.0)) / (
-        c_scale * sums.spec.a**6
-    )
-    d_zero = float(np.max(np.abs(sums.d[s] * c_units * sums.spec.a)[s % 3 != 2], initial=0.0)) / (
-        d_scale * sums.spec.a**5
-    )
+    c, d = sums.c_cell, sums.d_cell  # cell units: the orders compare without a's powers
+    c_zero = float(np.max(np.abs(c[s])[s % 3 != 0], initial=0.0)) / max(abs(c[3]), 1e-300)
+    d_zero = float(np.max(np.abs(d[s])[s % 3 != 2], initial=0.0)) / max(abs(d[2]), 1e-300)
     return {
         "legendre_residual": float(legendre),
         "delta_imag": abs(float(np.imag(np.conj(sums.delta1) / sums.spec.omega1)))
@@ -291,13 +285,17 @@ def _cut(cfg: dict, out: Path, spec, lam: float, theta: float, radii, angles):
             units += total_displacement(f.z, prob, coeffs, tables, nu)
     loads = [LoadCase(cfg["sigma1"], cfg["sigma2"], ang) for ang in angles]
     weights = np.array([load.weights for load in loads])
-    residuals = np.max(np.abs(weights @ np.array(defects)), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        residuals = np.max(np.abs(weights @ np.array(defects)), axis=1)
+        superposed = weights @ np.reshape(units, (3, -1))
     worst = max(gate_residual(float(res), load) for load, res in zip(loads, residuals))
+    if not np.isfinite(superposed).all():
+        raise NumericalError("a field value of the loads overflows: it is not a finite double")
     values = np.empty((len(angles), len(radii), len(_FIELD_HEADER)))
     values[..., 0] = radii
     values[..., 1] = theta
     values[..., 2] = np.reshape(angles, (-1, 1))
-    values[..., 3:] = (weights @ np.reshape(units, (3, -1))).reshape(len(angles), len(radii), -1)
+    values[..., 3:] = superposed.reshape(len(angles), len(radii), -1)
     rows = values.reshape(-1, len(_FIELD_HEADER))
     _write_csv(out / "field.csv", _FIELD_HEADER, rows)
     checks = {"boundary_residual": worst, "condition": coeffs.condition, "n_points": len(rows)}

@@ -40,7 +40,8 @@ class PrecisionError(HexlatError):
 
 class NumericalError(HexlatError):
     """Linear algebra failure (singular or hopelessly ill-conditioned
-    truncated system).  ``condition`` carries the condition estimate."""
+    truncated system), or a result that overflows a double.  ``condition``
+    carries the condition estimate."""
 
     def __init__(self, message, condition=None):
         super().__init__(message)

@@ -4,11 +4,11 @@ Total fields are the uniform remote state plus the doubly-periodic
 corrective potentials.  Every field function evaluates through one
 evaluator: it folds the points into the Voronoi cell around the origin
 (`fold_point`, four-corner search), evaluates all five potentials at
-once as one product of a power matrix with the solution's collapsed
-series matrix, and restores the quasi-periodic increments analytically.
-Periodicity is therefore exact by construction and evaluation is valid
-everywhere outside the holes.  The rim arbiter forms the same product
-on the tables' rim powers.
+once as one product of the powers of zeta = z0/a (cell units) with the
+solution's collapsed series matrix, and restores the quasi-periodic
+increments analytically.  Periodicity is therefore exact by
+construction and evaluation is valid everywhere outside the holes.  The
+rim arbiter forms the same product on the tables' rim powers.
 
 An array of points takes the vectorised path.  A single point, as
 `total_stress` and `total_displacement` take, stays in plain Python
@@ -19,9 +19,9 @@ more than the arithmetic itself.
 What a point costs beyond its fold, one series product and the closing
 arithmetic is formed once and kept:
 - per (coeffs, tables) pair, a point kernel (`_PointKernel`): the
-  periods, lam^2, the cyclic constants, alpha0/beta0/alpha1/beta1 as
-  Python complex and the complex series exponents.  One kernel is kept,
-  for the last pair evaluated, until a call names another pair; with it
+  periods, 1/a, lam^2, the cyclic constants, alpha0/beta0/alpha1/beta1
+  as Python complex and the complex series exponents.  One kernel is
+  kept, for the last pair evaluated, until a call names another pair; with it
   the potentials of the last point, so a point's stress and
   displacement share one fold and one product;
 - per lattice, the cell frame of the fold (`LatticeSpec.cell_frame`);
@@ -72,7 +72,7 @@ class _PointKernel:
     reference, so the pair it is keyed on (by identity) stays alive.
     """
 
-    __slots__ = ("coeffs", "tables", "spec", "hole", "periods", "lam2", "deltas",
+    __slots__ = ("coeffs", "tables", "spec", "hole", "periods", "inv_a", "lam2", "deltas",
                  "alpha0", "beta0", "alpha1", "beta1", "powers", "series", "last")
 
     def __init__(self, coeffs: PotentialCoefficients, tables: SeriesTables):
@@ -80,6 +80,7 @@ class _PointKernel:
         self.coeffs, self.tables, self.spec = coeffs, tables, sums.spec
         self.hole = tables.lam * (1 - 1e-12)
         self.periods = sums.spec.omega1, sums.spec.omega2
+        self.inv_a = 1.0 / sums.spec.a
         self.lam2 = tables.lam**2
         self.deltas = sums.delta1, sums.delta2
         self.alpha0, self.beta0 = coeffs.alpha0, coeffs.beta0
@@ -173,7 +174,8 @@ def _potentials(
         raise DomainError(
             f"point {np.ravel(z)[i]} lies inside a hole (folded |z0| = {np.ravel(r0)[i]:.6g})"
         )
-    z2 = z0 * z0
+    zeta = z0 * k.inv_a  # cell units, as SeriesTables.rim_powers forms them
+    z2 = zeta * zeta
     # the five columns: Python complex for a point, (shape of z) views for an
     # array (transpose is several times cheaper than np.moveaxis here)
     if scalar:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, InvalidArgumentError, NumericalError
-from .lattice import LatticeSpec, LatticeSums
+from .lattice import LatticeSpec, LatticeSums, _periods
 from .solver import unit_load_coefficients
 
 __all__ = [
@@ -205,8 +205,7 @@ def isotropy_check(data: HomogenizationData, E: float = 1.0, nu: float = 0.3) ->
         raise InvalidArgumentError(f"E must be positive, got {E}")
     _check_nu(nu, "nu")
     a = data.a
-    w1 = a * np.sqrt(3) / 2 - 1j * a / 2
-    w2 = np.conj(w1)
+    w1, w2 = _periods(a)
     # cyclic constants of the two periods; delta is their real invariant
     d1 = data.delta * np.conj(w1)
     d2 = data.delta * np.conj(w2)

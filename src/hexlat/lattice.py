@@ -2,8 +2,8 @@
 
 The period lattice is spanned by omega1 = a*sqrt(3)/2 - i*a/2 and its
 conjugate omega2.  The series constants c_s and d_s are summed on the
-normalized lattice a = 1 and rescaled, which keeps the pm^(-2s)
-coefficients inside double-precision range.
+normalized lattice a = 1 (cell units), where the solver uses them, and
+rescaled by a^(-2s) for the physical values.
 
 The cyclic constants have a closed form.  The rotation z -> e^(i pi/3) z
 maps the lattice onto itself and omega1 onto omega2, so
@@ -135,18 +135,19 @@ def lattice_translates(spec: LatticeSpec, shells: int) -> np.ndarray:
 class LatticeSums:
     """Truncated lattice sums and cyclic constants for one lattice.
 
-    c[s] and d[s] are indexed directly by the order s (entries 0 and 1
-    are unused and zero); units are a^(-2s).  delta1/delta2 are the
-    zeta-function cyclic constants 2*zeta(omega_j/2) = delta*conj(omega_j),
-    gamma1/gamma2 the Natanzon period defects, and g2/g3 the Weierstrass
-    invariants.  delta, delta_j and gamma_j = 0 are exact closed forms
-    (module docstring); only c, d, g2, g3 and tail come from the sums.
+    c[s] and d[s] are indexed by the order s (entries 0 and 1 unused and
+    zero), in units a^(-2s); c_cell, d_cell hold them at a = 1.  delta_j =
+    2*zeta(omega_j/2) = delta*conj(omega_j) are the cyclic constants and
+    gamma_j = 0 the Natanzon period defects, both exact closed forms (module
+    docstring); the Weierstrass invariants g2/g3 and tail come from the sums.
     """
 
     spec: LatticeSpec
     s_max: int
     c: np.ndarray
     d: np.ndarray
+    c_cell: np.ndarray
+    d_cell: np.ndarray
     delta1: complex
     delta2: complex
     delta: float
@@ -157,6 +158,21 @@ class LatticeSums:
     sum_radius: int
     tail: float
     method: str
+
+    @cached_property
+    def cell_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The lambda-free, read-only T x T (T = s_max) Laurent tables
+        R[j, k] = (2j+2k)!/((2k+1)!(2j)!) c_s, P[j, k] = (2j+2k+2)!/((2k+1)!(2j)!) d_s
+        of the a = 1 sums at s = j+k+1, zero outside 2 <= s <= s_max."""
+        T = self.s_max
+        jk = np.add.outer(np.arange(T), np.arange(T))
+        j, k = np.nonzero((jk >= 1) & (jk < T))
+        lf = np.array([math.lgamma(n + 1) for n in range(2 * T + 1)])  # log n!
+        R, P = np.zeros((T, T)), np.zeros((T, T))
+        R[j, k] = np.exp(lf[2 * k + 2 * j] - lf[2 * k + 1] - lf[2 * j]) * self.c_cell[j + k + 1]
+        P[j, k] = np.exp(lf[2 * k + 2 + 2 * j] - lf[2 * k + 1] - lf[2 * j]) * self.d_cell[j + k + 1]
+        R.flags.writeable = P.flags.writeable = False
+        return R, P
 
 
 def _raw_sums(s_max: int, shells: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -275,14 +291,13 @@ def compute_lattice_sums(
     delta = 2.0 * math.pi / math.sqrt(3)
     delta1, delta2 = (delta * w.conjugate() for w in _periods(1.0))
 
-    # rescale from the a = 1 lattice to the physical one
-    s_idx = np.arange(s_max + 1)
-    scale = a ** (-2.0 * s_idx)
+    scale = a ** (-2.0 * np.arange(s_max + 1))  # from the a = 1 lattice to the physical one
     return LatticeSums(
         spec=spec,
         s_max=s_max,
         c=c * scale,
         d=d * scale,
+        c_cell=c, d_cell=d,
         delta1=delta1 / a,
         delta2=delta2 / a,
         delta=delta / a**2,

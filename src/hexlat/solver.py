@@ -6,11 +6,11 @@ The remaining coefficients follow in closed form: beta_1 from the
 sigma_+ balance, beta_{j+1} from the alpha's, and alpha_0/beta_0 from
 the cyclic-constant relations.
 
-The systems are assembled from the lam-scaled table
-rhat[j, k] = lam^(2s) r[j, k], s = j+k+1.  Its entries depend only on
-lam/a, so the system matrices are dimensionless and no power of lam
-above lam^(2 s_max) is formed: weighting physical-unit tables by
-lam^(2j+2k) and lam^(4m) instead overflows at K ~ 38 when a = 246.
+Everything here is in cell units (lengths over a): the series are in
+zeta = z/a and the hole radius enters as mu = lam/a alone.  Each lam is
+a diagonal scaling rhat = D R D, D = diag(mu^(2j+1)), of the lattice's
+one lambda-free table R (`LatticeSums.cell_tables`), as
+mu^(2s) = mu^(2j+1) mu^(2k+1) at order s = j+k+1.
 
 The system matrices do not depend on the load, and every coefficient
 is real-linear in the load weights (sigma_+, sigma_- cos 2alpha,
@@ -29,7 +29,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, replace
 from functools import cached_property
-from math import isfinite, lgamma
+from math import isfinite
 
 import numpy as np
 
@@ -67,6 +67,8 @@ class LoadCase:
     def __post_init__(self):
         if not all(isfinite(v) for v in (self.sigma1, self.sigma2, self.alpha)):
             raise InvalidArgumentError(f"{self} must be finite")
+        if not (isfinite(self.sigma_plus) and isfinite(self.sigma_minus)):
+            raise InvalidArgumentError(f"{self}: (sigma1 +- sigma2)/2 is not a finite double")
 
     # sigma_+, sigma_- and sigma_- e^(-+2i alpha) are formed once per load:
     # every field point reads them (cached_property fills the instance
@@ -118,17 +120,16 @@ class ProblemSpec:
 
 @dataclass(frozen=True, eq=False)
 class SeriesTables:
-    """r/rho coefficient tables and the d+- system matrices for one lam.
+    """Scaled Laurent table and the d+- system matrices for one hole radius.
 
-    r and rho are (T x T) with T = s_max (at least K + 2), rows/columns
-    indexed from 0, in physical units (r[j, k] ~ a^-(2j+2k+2)); entries
-    beyond the available sum order s = j+k+1 <= s_max are zero.  rhat is
-    the dimensionless lam^(2j+2k+2) * r.
+    rhat is (T x T) with T = s_max (at least K + 2), rows/columns indexed
+    from 0: rhat[j, k] = mu^(2j+2k+2) R[j, k], mu = lam/a, on the
+    lattice's lambda-free table R (`LatticeSums.cell_tables`).
 
-    dplus/dminus are the (K x K) weighted matrices lam^(2j+2k) d+-, with
-    row/column j-1 for j = 1..K; they are dimensionless.
+    dplus/dminus are the (K x K) weighted matrices mu^(2j+2k) d+-, with
+    row/column j-1 for j = 1..K; all are dimensionless.
 
-    powers are the series rows' exponents p of z0^(2p).
+    powers are the series rows' exponents p of zeta^(2p), zeta = z0/a.
 
     Four load-independent parts are formed on first use and kept for
     the life of the tables, shared by every solution on them:
@@ -139,15 +140,13 @@ class SeriesTables:
       NaN); a load's solution is its weights applied to them;
     - rim_points: the _RIM_POINTS rim angles theta, t = lam e^(i theta)
       and e^(2i theta);
-    - rim_powers: (t^2)^p at those points, the rim arbiter's power
-      matrix (~0.23 MB at T = 40, K = 16).
+    - rim_powers: (zeta^2)^p at those points, zeta = t/a, the rim
+      arbiter's power matrix (~0.23 MB at T = 40, K = 16).
     """
 
     sums: LatticeSums
     lam: float
     K: int
-    r: np.ndarray
-    rho: np.ndarray
     rhat: np.ndarray
     b: float
     dplus: np.ndarray
@@ -157,7 +156,7 @@ class SeriesTables:
     @cached_property
     def systems(self) -> tuple[np.ndarray, np.ndarray, float]:
         K, b, rhat = self.K, self.b, self.rhat
-        col, row = rhat[:K, 0], rhat[0, :K]  # lam^(2j) r[j-1, 0] and lam^(2k) r[0, k-1]
+        col, row = rhat[:K, 0], rhat[0, :K]  # mu^(2j) R[j-1, 0] and mu^(2k) R[0, k-1]
         # real parts: coupled to beta through the sigma_+ balance
         Mr = np.eye(K) + self.dminus + (2.0 / (b - 1.0)) * np.outer(col, row)
         Mr[0, 0] -= b
@@ -177,7 +176,7 @@ class SeriesTables:
 
     @cached_property
     def basis(self) -> tuple[PotentialCoefficients, ...]:
-        K, b, lam, r = self.K, self.b, self.lam, self.r
+        K, b = self.K, self.b
         Mr, Mi, cond = self.systems
         col, row = self.rhat[:K, 0], self.rhat[0, :K]
         # the unit loads' right-hand sides as columns
@@ -192,21 +191,22 @@ class SeriesTables:
         except np.linalg.LinAlgError as exc:  # factorisation breakdown (non-finite entries)
             raise NumericalError(f"truncated system cannot be solved: {exc}") from exc
         alpha = (ar + 1j * ai).T  # row i: UNIT_LOADS[i], as in every array below
-        # beta_(j+1) = (2j+1) alpha_j + sum_k lam^(2j+2k) r[j, k-1] conj(alpha_k)
+        # beta_(j+1) = (2j+1) alpha_j + sum_k mu^(2j+2k) R[j, k-1] conj(alpha_k)
         beta = np.column_stack([
             (-sp - 2.0 * (row @ ar)) / (b - 1.0),
             (2 * np.arange(1, K + 1) + 1) * alpha + np.conj(alpha) @ self.rhat[1 : K + 1, :K].T,
         ])
         alpha0, beta0 = b / 2.0 * beta[:, 0], b * np.conj(alpha[:, 0])
 
-        # Collapse the r/rho tables onto the coefficients.  Each row is one
-        # power z^e of the Phi and Psi series; z*Phi' and the antiderivatives
-        # over z take the factors e and 1/(e+1).
+        # Collapse the lattice's lambda-free tables onto the coefficients.
+        # Each row is one power zeta^e of the Phi and Psi series; z*Phi' and
+        # the antiderivatives over z take the factors e and 1/(e+1).
+        R, P = self.sums.cell_tables
         e = 2.0 * self.powers
-        pw = lam ** (2.0 * np.arange(1, K + 1))
+        pw = (self.lam / self.sums.spec.a) ** (2.0 * np.arange(1, K + 1))
         A, B = alpha * pw, beta[:, :K] * pw
-        phi_rows = np.hstack([A @ r[:, :K].T, A])
-        psi_rows = np.hstack([B @ r[:, :K].T - A @ self.rho[:, :K].T, B])
+        phi_rows = np.hstack([A @ R[:, :K].T, A])
+        psi_rows = np.hstack([B @ R[:, :K].T - A @ P[:, :K].T, B])
         series = np.stack([phi_rows, psi_rows, e * phi_rows, phi_rows / (e + 1), psi_rows / (e + 1)], -1)
         series[:, 0] += np.column_stack([alpha0, beta0, np.zeros(3), alpha0, beta0])
         alpha.flags.writeable = beta.flags.writeable = series.flags.writeable = False
@@ -225,8 +225,8 @@ class SeriesTables:
 
     @cached_property
     def rim_powers(self) -> np.ndarray:
-        t = self.rim_points[1]
-        return np.power.outer(t * t, self.powers)
+        zeta = self.rim_points[1] * (1.0 / self.sums.spec.a)  # as fields._potentials forms it
+        return np.power.outer(zeta * zeta, self.powers)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,11 +234,11 @@ class PotentialCoefficients:
     """Solved series coefficients: alpha[k-1], beta[k-1] for k = 1..K(+1).
 
     series is the collapsed series matrix: at a point z0 of the central
-    cell, (z0^2)^powers @ series gives (Phi, Psi, z0*Phi', phi/z0,
-    psi/z0) of the corrective problem, where phi and psi are the
-    term-wise antiderivatives of Phi and Psi (zero integration
-    constant).  Its rows carry the powers z0^(2j), j < T (the first also
-    carrying alpha0 and beta0), then z0^-(2k+2), k < K.
+    cell, (zeta^2)^powers @ series with zeta = z0/a gives the dimensionless
+    (Phi, Psi, z0*Phi', phi/z0, psi/z0) of the corrective problem, where
+    phi and psi are the term-wise antiderivatives of Phi and Psi (zero
+    integration constant).  Its rows carry the powers zeta^(2j), j < T
+    (the first also carrying alpha0 and beta0), then zeta^-(2k+2), k < K.
     """
 
     alpha: np.ndarray
@@ -252,48 +252,39 @@ class PotentialCoefficients:
 
 
 def series_tables(sums: LatticeSums, lam: float, K: int) -> SeriesTables:
-    """Build the Laurent tables and system matrices for hole radius lam.
+    """Scale the lattice's tables to hole radius lam; build the system matrices.
 
-    Raises InvalidArgumentError unless 0 < lam < a/2 and lam^(-2K), the
-    smallest rim power of the arbiter, is a finite double."""
+    Raises InvalidArgumentError unless 0 < lam < a/2, K >= 4 and
+    (lam/a)^(-2K), the smallest rim power of the arbiter, is a finite double."""
     a = sums.spec.a
     if not 0 < lam < a / 2:
         raise InvalidArgumentError(f"hole radius {lam} out of range (0, {a / 2})")
+    if K < 4:
+        raise InvalidArgumentError(f"truncation K must be >= 4, got {K}")
     if sums.s_max < K + 2:
         raise ConfigurationError(
             f"lattice sums reach s_max = {sums.s_max}, need at least K+2 = {K + 2}"
         )
-    # the positive powers of lam are bounded by the lattice range check
+    mu = lam / a
     try:
-        lam ** (-2.0 * K)
+        mu ** (-2.0 * K)
     except OverflowError:
         raise InvalidArgumentError(
             f"truncation K = {K} is too large for the hole radius lambda = {lam:g}: "
-            f"lambda^(-{2 * K}) is not a finite double"
+            f"(lambda/a)^(-{2 * K}) = {mu:g}^(-{2 * K}) is not a finite double"
         ) from None
     T = sums.s_max  # at least K + 2 by the check above
-    jk = np.add.outer(np.arange(T), np.arange(T))
-    j, k = np.nonzero((jk >= 1) & (jk < sums.s_max))  # orders 2 <= s = j+k+1 <= s_max
-    s = j + k + 1
-    log_fact = np.array([lgamma(n + 1) for n in range(2 * sums.s_max + 1)])
-    quot_c = np.exp(log_fact[2 * k + 2 * j] - log_fact[2 * k + 1] - log_fact[2 * j])
-    quot_d = np.exp(log_fact[2 * k + 2 + 2 * j] - log_fact[2 * k + 1] - log_fact[2 * j])
-    c, d = sums.c[s], sums.d[s]
-    lam2s = lam ** (2.0 * s)  # finite: lam < a/2, and a^(2 s_max) passed the range check
-    r, rho, rhat, rhohat = (np.zeros((T, T)) for _ in range(4))
-    r[j, k] = quot_c * c
-    rho[j, k] = quot_d * d
-    rhat[j, k] = quot_c * (c * lam2s)
-    rhohat[j, k] = quot_d * (d * lam2s)
+    D = mu ** (2.0 * np.arange(T) + 1.0)
+    rhat, rhohat = (D[:, None] * table * D for table in sums.cell_tables)
 
     b = 2 * np.pi * lam**2 / (np.sqrt(3) * a**2)
-    # lam^(2j+2k) d+-[j, k] for j, k = 1..K; the cross sums run over m = 1..K
+    # mu^(2j+2k) d+-[j, k] for j, k = 1..K; the cross sums run over m = 1..K
     jj = np.arange(1, K + 1)
     base = (1 - 2 * jj)[:, None] * rhat[1 : K + 1, :K] - (1 + 2 * jj) * rhat[:K, 1 : K + 1]
     base += rhohat[:K, :K]
     cross = rhat[:K, 1 : K + 1] @ rhat[1 : K + 1, :K]
     return SeriesTables(
-        sums=sums, lam=lam, K=K, r=r, rho=rho, rhat=rhat, b=b,
+        sums=sums, lam=lam, K=K, rhat=rhat, b=b,
         dplus=base + cross, dminus=base - cross,
         powers=np.concatenate([np.arange(T), -np.arange(1, K + 1)]),
     )
@@ -302,22 +293,29 @@ def series_tables(sums: LatticeSums, lam: float, K: int) -> SeriesTables:
 def solve_coefficients(prob: ProblemSpec, tables: SeriesTables) -> PotentialCoefficients:
     """All potential coefficients of one load case: its weights applied to
     the unit-load basis of the tables, then gated on their rim traction
-    (ConsistencyError unless within 1e-6 of the load scale; NaN fails)."""
+    (ConsistencyError unless within 1e-6 of the load scale; NaN fails).
+    A solution that overflows a double raises NumericalError."""
     if tables.K != prob.K or tables.lam != prob.lam:
         raise ConfigurationError("tables were built for a different (lam, K)")
     from . import fields  # deferred: fields depends on this module's types
 
-    units, (w0, w1, w2) = tables.basis, prob.load.weights
-    alpha, beta, alpha0, beta0, series = (
-        w0 * getattr(units[0], name) + w1 * getattr(units[1], name) + w2 * getattr(units[2], name)
-        for name in ("alpha", "beta", "alpha0", "beta0", "series")
-    )
-    coeffs = PotentialCoefficients(
-        alpha=alpha, beta=beta, alpha0=alpha0, beta0=beta0, condition=units[0].condition,
-        residual=float("nan"), series=series, powers=tables.powers,
-    )
-    res = gate_residual(fields.boundary_residual(prob, coeffs, tables), prob.load)
-    return replace(coeffs, residual=res)
+    (u0, u1, u2), (w0, w1, w2) = tables.basis, prob.load.weights
+    try:
+        with np.errstate(over="raise"):
+            alpha, beta, alpha0, beta0, series = (
+                w0 * getattr(u0, name) + w1 * getattr(u1, name) + w2 * getattr(u2, name)
+                for name in ("alpha", "beta", "alpha0", "beta0", "series")
+            )
+            if not (cmath.isfinite(alpha0) and cmath.isfinite(beta0)):  # Python complex: no raise
+                raise FloatingPointError
+            coeffs = PotentialCoefficients(
+                alpha=alpha, beta=beta, alpha0=alpha0, beta0=beta0, condition=u0.condition,
+                residual=float("nan"), series=series, powers=tables.powers,
+            )
+            res = fields.boundary_residual(prob, coeffs, tables)
+    except FloatingPointError:
+        raise NumericalError(f"the solution for {prob.load} overflows a double") from None
+    return replace(coeffs, residual=gate_residual(res, prob.load))
 
 
 def gate_residual(res: float, load: LoadCase) -> float:

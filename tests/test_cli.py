@@ -297,6 +297,45 @@ class TestSolve:
         assert code == 0
         assert json.loads((out / "check.json").read_text())["status"] == "ok"
 
+    @pytest.mark.parametrize("args", [
+        # lambda^(-120) overflowed while the rim powers were in physical units
+        ("a=0.01", "lambda_ratio=0.05", "K=60", "s_max=62"),
+        # the physical series rows carried lambda^(2k) ~ 49^(2k) times the load
+        ("a=246", "sigma1=1e280", "sigma2=-1e280"),
+    ])
+    def test_solution_does_not_depend_on_a(self, tmp_path, args):
+        # the solve runs in cell units: the same problem at a = 1 gives the
+        # same dimensionless coefficients
+        docs = []
+        for a in (args[0], "a=1"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out = run(tmp_path / a, "solve", a, *args[1:])
+            assert code == 0
+            assert _strict_json(out / "check.json")["status"] == "ok"
+            doc = _strict_json(out / "coeffs.json")
+            docs.append(np.array(doc["alpha_k"] + doc["beta_k"]))
+        assert np.max(np.abs(docs[0] - docs[1])) <= 1e-13 * np.max(np.abs(docs[1]))
+
+    def test_overflowing_sigma_minus_rejected(self, tmp_path):
+        # sigma_- = (sigma1 - sigma2)/2 overflows: rejected like a non-finite load
+        code, out = run(tmp_path, "solve", "sigma1=1e308", "sigma2=-1e308")
+        assert code == 2
+        assert not (out / "check.json").exists()
+
+    @pytest.mark.parametrize("args", [
+        ("a=1", "sigma1=1e308", "sigma2=0"),  # a series row overflows
+        ("sigma1=1e308", "sigma2=1e307", "lambda_ratio=0.01"),  # the rim traction overflows
+    ])
+    def test_overflowing_solution_fails(self, tmp_path, args):
+        # exit 3, not 4 with a NaN residual; no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(tmp_path, "solve", *args)
+        assert code == 3
+        assert _strict_json(out / "check.json")["status"] == "precision-failure"
+        assert not (out / "coeffs.json").exists()
+
     def test_non_finite_residual_fails_with_valid_json(self, tmp_path, monkeypatch):
         monkeypatch.setattr(fields, "boundary_residual", lambda *args, **kwargs: float("nan"))
         code, out = run(tmp_path, "solve", "a=1")
@@ -437,6 +476,27 @@ class TestCut:
         assert not (out / "field.csv").exists()
 
     @pytest.mark.parametrize("command", ["field", "sweep"])
+    @pytest.mark.parametrize("K", [-1, 0, 3])
+    def test_truncation_below_four_rejected(self, tmp_path, capsys, command, K):
+        # the unit-load basis is built before any ProblemSpec checks K
+        code, out = run(tmp_path, command, "a=1", "n_alpha=3", "n_r=3", f"K={K}")
+        assert code == 2
+        assert f"K must be >= 4, got {K}" in capsys.readouterr().err
+        assert not (out / "check.json").exists()
+
+    @pytest.mark.parametrize("command", ["field", "sweep"])
+    def test_overflowing_values_fail(self, tmp_path, command):
+        # 2G u at the default a = 246 overflows for this load; nothing is
+        # written but the failure report, and no RuntimeWarning is raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(tmp_path, command, "sigma1=1e307", "sigma2=1e307", "n_alpha=3", "n_r=3")
+        assert code == 3
+        doc = _strict_json(out / "check.json")
+        assert doc["status"] == "precision-failure" and "overflows" in doc["message"]
+        assert not (out / "field.csv").exists()
+
+    @pytest.mark.parametrize("command", ["field", "sweep"])
     def test_nu_eff_rejected(self, tmp_path, capsys, command):
         # the displacements use the bond ratio; nu_eff was silently ignored
         code, out = run(tmp_path, command, "a=1", "n_r=5", "nu_eff=0.45")
@@ -492,6 +552,19 @@ class TestModuli:
         assert "nu_eff = 0.45 is unreachable" in err
         assert "Poisson ratio nu =" not in err
         assert not (out / "check.json").exists()
+
+    def test_one_cell_table_build_serves_every_radius(self, tmp_path, monkeypatch):
+        # the lambda-free tables belong to the lattice sums; every hole
+        # radius of the sweep scales the same pair
+        built = []
+        tables = lattice.LatticeSums.cell_tables
+        counting = functools.cached_property(lambda sums: built.append(sums) or tables.func(sums))
+        counting.__set_name__(lattice.LatticeSums, "cell_tables")
+        monkeypatch.setattr(lattice.LatticeSums, "cell_tables", counting)
+        code, _ = run(tmp_path, "moduli", "a=1", "direction=bond_to_effective", "nu=0.3",
+                      "n_lambda=5")
+        assert code == 0
+        assert len(built) == 1
 
     def test_dilute_row_is_identity(self, tmp_path):
         code, out = run(

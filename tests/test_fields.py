@@ -15,26 +15,29 @@ from test_solver import _per_load_oracle
 
 def _oracle_series(z0, coeffs, tables):
     """Per-point matrix-vector evaluation of Phi, Phi', Psi, phi, psi at a
-    folded point z0: the formula the collapsed series matrix replaced."""
-    K, lam = tables.K, tables.lam
-    j = np.arange(tables.r.shape[0])
+    folded point z0: the formula the collapsed series matrix replaced, on
+    the lattice's lambda-free tables in cell units (zeta = z0/a, mu = lam/a)."""
+    K, a = tables.K, tables.sums.spec.a
+    mu, zeta = tables.lam / a, z0 / a
+    R, P = tables.sums.cell_tables
+    j = np.arange(R.shape[0])
     k = np.arange(K)
-    wk = lam ** (2.0 * k + 2.0)
-    zpow = z0 ** (2.0 * j)
-    zpow_d = 2.0 * j[1:] * z0 ** (2.0 * j[1:] - 1.0)
-    zint = z0 ** (2.0 * j + 1.0) / (2.0 * j + 1.0)
-    sing = z0 ** (-(2.0 * k + 2.0))
-    sing_d = -(2.0 * k + 2.0) * z0 ** (-(2.0 * k + 3.0))
-    sing_int = z0 ** (-(2.0 * k + 1.0)) / (-(2.0 * k + 1.0))
-    r, rho = tables.r[:, :K], tables.rho[:, :K]
+    wk = mu ** (2.0 * k + 2.0)
+    zpow = zeta ** (2.0 * j)
+    zpow_d = 2.0 * j[1:] * zeta ** (2.0 * j[1:] - 1.0)
+    zint = zeta ** (2.0 * j + 1.0) / (2.0 * j + 1.0)
+    sing = zeta ** (-(2.0 * k + 2.0))
+    sing_d = -(2.0 * k + 2.0) * zeta ** (-(2.0 * k + 3.0))
+    sing_int = zeta ** (-(2.0 * k + 1.0)) / (-(2.0 * k + 1.0))
+    r, rho = R[:, :K], P[:, :K]
     al, be = coeffs.alpha, coeffs.beta[:K]
+    # d/dz = (1/a) d/dzeta, and an antiderivative in z is a times that in zeta
     phi = coeffs.alpha0 + np.sum(al * wk * (sing + r.T @ zpow))
-    phi_d = np.sum(al * wk * (sing_d + r[1:].T @ zpow_d))
+    phi_d = np.sum(al * wk * (sing_d + r[1:].T @ zpow_d)) / a
     psi = coeffs.beta0 + np.sum(be * wk * (sing + r.T @ zpow)) - np.sum(al * wk * (rho.T @ zpow))
-    phi_i = coeffs.alpha0 * z0 + np.sum(al * wk * (sing_int + r.T @ zint))
-    psi_i = (
-        coeffs.beta0 * z0
-        + np.sum(be * wk * (sing_int + r.T @ zint))
+    phi_i = coeffs.alpha0 * z0 + a * np.sum(al * wk * (sing_int + r.T @ zint))
+    psi_i = coeffs.beta0 * z0 + a * (
+        np.sum(be * wk * (sing_int + r.T @ zint))
         - np.sum(al * wk * (rho.T @ zint))
     )
     return phi, phi_d, psi, phi_i, psi_i

@@ -11,22 +11,30 @@ from hypothesis import strategies as st
 from hexlat import errors, fields, lattice, solver
 
 
-def _oracle_tables(sums, lam, K):
-    """The per-entry formulas of the tables and the unweighted system
-    matrices d+- (rows/columns 1..K of a (K+1) x (K+1) array)."""
+def _oracle_quotients(c, d, T):
+    """The per-entry formulas of the Laurent tables on the sums c, d:
+    (2j+2k)!/((2k+1)!(2j)!) c_s and (2j+2k+2)!/((2k+1)!(2j)!) d_s at
+    s = j+k+1, for 2 <= s <= len(c) - 1, in a T x T array."""
 
     def fact_quot(num, den1, den2):
         return float(np.exp(lgamma(num + 1) - lgamma(den1 + 1) - lgamma(den2 + 1)))
 
-    T = max(K + 1, sums.s_max)
     r = np.zeros((T, T))
     rho = np.zeros((T, T))
     for j in range(T):
         for k in range(T):
             s = j + k + 1
-            if 2 <= s <= sums.s_max:
-                r[j, k] = fact_quot(2 * k + 2 * j, 2 * k + 1, 2 * j) * sums.c[s]
-                rho[j, k] = fact_quot(2 * k + 2 + 2 * j, 2 * k + 1, 2 * j) * sums.d[s]
+            if 2 <= s < len(c):
+                r[j, k] = fact_quot(2 * k + 2 * j, 2 * k + 1, 2 * j) * c[s]
+                rho[j, k] = fact_quot(2 * k + 2 + 2 * j, 2 * k + 1, 2 * j) * d[s]
+    return r, rho
+
+
+def _oracle_tables(sums, lam, K):
+    """The per-entry formulas of the physical-unit tables and the
+    unweighted system matrices d+- (rows/columns 1..K of a (K+1) x (K+1)
+    array)."""
+    r, rho = _oracle_quotients(sums.c, sums.d, max(K + 1, sums.s_max))
     dplus = np.zeros((K + 1, K + 1))
     dminus = np.zeros((K + 1, K + 1))
     mm = np.arange(1, K + 1)
@@ -42,9 +50,11 @@ def _oracle_tables(sums, lam, K):
 def _per_load_oracle(prob, tables):
     """One load solved on its own, independent of the unit-load basis: the
     two real systems with this load's right-hand sides, the closed-form
-    beta/alpha0/beta0 chains and the collapse of the r/rho tables onto
-    the coefficients.  Not gated: the residual is NaN."""
-    K, lam, b, r = prob.K, prob.lam, tables.b, tables.r
+    beta/alpha0/beta0 chains and the collapse of the lattice's lambda-free
+    tables R, P onto the coefficients with the weights mu^(2k), mu = lam/a.
+    Not gated: the residual is NaN."""
+    K, b = prob.K, tables.b
+    R, P = tables.sums.cell_tables
     Mr, Mi, cond = tables.systems
     sp, sm_cos, sm_sin = prob.load.weights
     col, row = tables.rhat[:K, 0], tables.rhat[0, :K]
@@ -61,10 +71,10 @@ def _per_load_oracle(prob, tables):
     alpha0 = complex(b / 2.0 * beta1)
     beta0 = complex(b * np.conj(alpha[0]))
     e = 2.0 * tables.powers
-    pw = lam ** (2.0 * np.arange(1, K + 1))
+    pw = (prob.lam / prob.spec.a) ** (2.0 * np.arange(1, K + 1))
     A, B = alpha * pw, beta[:K] * pw
-    phi_rows = np.concatenate([r[:, :K] @ A, A])
-    psi_rows = np.concatenate([r[:, :K] @ B - tables.rho[:, :K] @ A, B])
+    phi_rows = np.concatenate([R[:, :K] @ A, A])
+    psi_rows = np.concatenate([R[:, :K] @ B - P[:, :K] @ A, B])
     series = np.column_stack([phi_rows, psi_rows, e * phi_rows, phi_rows / (e + 1), psi_rows / (e + 1)])
     series[0] += [alpha0, beta0, 0.0, alpha0, beta0]
     return solver.PotentialCoefficients(
@@ -94,6 +104,11 @@ class TestValidation:
         with pytest.raises(errors.InvalidArgumentError):
             solver.ProblemSpec(spec, 0.2, solver.LoadCase(1.0, 0.0, 0.0), 2)
 
+    @pytest.mark.parametrize("K", [-1, 0, 3])
+    def test_tables_need_truncation_four(self, sums, K):
+        with pytest.raises(errors.InvalidArgumentError, match="K must be >= 4"):
+            solver.series_tables(sums, 0.2, K)
+
     def test_tables_need_enough_orders(self, sums):
         with pytest.raises(errors.ConfigurationError):
             solver.series_tables(sums, 0.2, sums.s_max)
@@ -109,7 +124,11 @@ class TestTables:
     def test_match_per_entry_oracle(self, sums, lam, K):
         t = solver.series_tables(sums, lam, K)
         r, rho, dplus, dminus = _oracle_tables(sums, lam, K)
-        assert np.array_equal(t.r, r) and np.array_equal(t.rho, rho)
+        R, P = sums.cell_tables
+        assert sums.cell_tables is sums.cell_tables  # built once per lattice
+        assert not (R.flags.writeable or P.flags.writeable)
+        cell = _oracle_quotients(sums.c_cell, sums.d_cell, sums.s_max)
+        assert np.array_equal(R, cell[0]) and np.array_equal(P, cell[1])
         s = np.add.outer(np.arange(len(r)), np.arange(len(r))) + 1
         assert np.allclose(t.rhat, lam ** (2.0 * s) * r, rtol=1e-14, atol=0)
         # the solver's matrices carry the weights lam^(2j+2k), j, k = 1..K
@@ -136,6 +155,28 @@ class TestTables:
             assert np.max(np.abs(c.beta - ref.beta)) <= 1e-12 * np.max(np.abs(ref.beta))
 
 
+    @pytest.mark.parametrize("ratio, K", [(0.2, 16), (0.45, 38), (0.05, 30)])
+    def test_cell_units_do_not_depend_on_a(self, ratio, K):
+        # one lambda-free table pair per lattice, the same array for every a;
+        # a hole radius enters through lam/a alone, so the dimensionless
+        # solution and its series agree to rounding from a = 0.01 to 246
+        load = solver.LoadCase(2.0, 1.0, 0.3)
+        cells, solved = [], []
+        for a in (0.01, 1.0, 246.0):
+            spec = lattice.build_lattice(a, 1, 1)
+            sums = lattice.compute_lattice_sums(spec, s_max=40, shells=48)
+            tables = solver.series_tables(sums, ratio * a, K)
+            prob = solver.ProblemSpec(spec, ratio * a, load, K)
+            cells.append(sums.cell_tables)
+            solved.append(solver.solve_coefficients(prob, tables))
+        ref = solved[1]
+        for (R, P), c in zip(cells, solved):
+            assert np.array_equal(R, cells[1][0]) and np.array_equal(P, cells[1][1])
+            for name, tol in (("alpha", 1e-13), ("beta", 1e-13), ("series", 1e-14)):
+                got, want = getattr(c, name), getattr(ref, name)
+                assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), name
+
+
 class TestLoadCase:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("slot", range(3))
@@ -144,6 +185,13 @@ class TestLoadCase:
         args[slot] = bad
         with pytest.raises(errors.InvalidArgumentError):
             solver.LoadCase(*args)
+
+    @pytest.mark.parametrize("sigma1, sigma2", [(1e308, -1e308), (1e308, 1e308), (-1.7e308, 1e308)])
+    def test_overflowing_plus_minus_rejected(self, sigma1, sigma2):
+        # (sigma1 +- sigma2)/2 overflows: the load cannot be carried
+        with pytest.raises(errors.InvalidArgumentError):
+            solver.LoadCase(sigma1, sigma2, 0.0)
+        assert solver.LoadCase(sigma1, 0.0, 0.0).sigma_minus == sigma1 / 2
 
     @given(st.floats(-5, 5), st.floats(-5, 5))
     def test_plus_minus_decomposition(self, s1, s2):
@@ -265,6 +313,17 @@ class TestSolution:
         prob = solver.ProblemSpec(spec, 0.2, solver.LoadCase(2.0, 1.0, 0.0), 16)
         with pytest.raises(errors.ConsistencyError):
             solver.solve_coefficients(prob, tables)
+
+    @pytest.mark.parametrize("lam, K, load", [
+        (0.45, 38, (1e308, 0.0, 0.0)),  # alpha and beta overflow
+        (0.2, 16, (1e307, 0.0, 0.0)),  # only a row of the collapsed series overflows
+        (0.01, 16, (1e308, 1e307, 0.0)),  # a finite solution whose rim traction overflows
+    ])
+    def test_overflowing_solution_is_numerical_error(self, spec, sums, lam, K, load):
+        # not a NaN residual (ConsistencyError), and no RuntimeWarning
+        prob = solver.ProblemSpec(spec, lam, solver.LoadCase(*load), K)
+        with pytest.raises(errors.NumericalError, match="overflows"):
+            solver.solve_coefficients(prob, solver.series_tables(sums, lam, K))
 
     def test_linear_algebra_breakdown_is_numerical_error(self, spec, tables):
         # a NaN system entry makes numpy's SVD fail to converge

@@ -368,8 +368,15 @@ def cmd_moduli(cfg: dict, out: Path) -> None:
     if cfg[other] is not None:
         raise ConfigurationError(f"direction={direction} takes {given}, not {other}")
     nu_in = cfg[given]
+    lo, hi = cfg["lam_ratio_min"], cfg["lam_ratio_max"]
+    # the rows ascend in lambda, each radius once, and every hole fits its cell
+    if not 0 < lo < hi < 0.5:
+        raise ConfigurationError(
+            f"need 0 < lam_ratio_min < lam_ratio_max < 0.5, got lam_ratio_min = {lo}"
+            f" and lam_ratio_max = {hi}"
+        )
     sums = _lattice_sums(cfg, spec)
-    lams = np.linspace(cfg["lam_ratio_min"], cfg["lam_ratio_max"], cfg["n_lambda"]) * spec.a
+    lams = np.linspace(lo, hi, cfg["n_lambda"]) * spec.a
     rows, outs = [], []
     worst_rt = worst_iso = 0.0
     for lam in lams:

@@ -16,11 +16,16 @@ N is holomorphic at the origin (its poles sit on the nonzero lattice
 translates) and N(0) = 0, so its even-order derivatives follow from
 term-wise integration with zero constants.
 
-`fold_point` reduces a point to the Voronoi cell around the origin by
-comparing only the four corners of the period parallelogram that holds
-it: that parallelogram is two equilateral triangles, and the nearest
-lattice point is always a vertex of the point's triangle.  A scalar
-point is folded in plain Python arithmetic, an array in numpy.
+`fold_point` reduces a point to the Voronoi cell around the origin.
+The period parallelogram that holds it is two equilateral triangles, and
+the nearest lattice point is always a vertex of the point's triangle.  A
+scalar point picks that vertex by two comparisons of squared distances,
+which are linear in its cell coordinates (the hexagonal-lattice closest
+point of Conway & Sloane, IEEE Trans. Inf. Theory 28:227, 1982); near a
+tie it compares the four corners of the parallelogram by their rounded
+distances, as an array of points always does, so both return the same
+bits.  A scalar point is folded in plain Python arithmetic, an array in
+numpy.
 """
 
 from __future__ import annotations
@@ -105,6 +110,12 @@ _CORNER_DM, _CORNER_DN = np.array(_CORNERS).T
 # Distances are compared in units of 1e-12 a, rounded half to even, so
 # translates within rounding of each other count as tied.
 _TIE_UNITS = 1e12
+# A scalar fold compares the four corners' rounded distances only when its
+# two comparisons decide by less than this many a^2 of squared distance, or
+# when |m| + |n| exceeds _FAST_RANGE: beyond it the rounding of the cell
+# coordinates (about |m| + |n| ulps) nears the margin.
+_TIE_MARGIN = 1e-9
+_FAST_RANGE = 1 << 20
 
 
 def _cell_coordinates(z, frame: tuple):
@@ -119,12 +130,20 @@ def fold_point(z: complex | np.ndarray, spec: LatticeSpec):
     The representative is the translate closest to the origin among the
     four corners of the period parallelogram holding z.  omega1 and
     omega2 are 60 degrees apart with |omega1 - omega2| = a, so that
-    parallelogram is two equilateral triangles: the nearest lattice
-    point is a vertex of z's triangle (at most a/sqrt(3) away), and
-    every other lattice point lies at least (sqrt(3)/2)*a from it.  Ties
-    are broken deterministically by (|z0|, m, n) ordering, with |z0|/a
-    rounded to 12 decimals.  A scalar z runs in plain Python and returns
-    (complex, int, int); an array returns arrays (z0, m, n) of its shape.
+    parallelogram is two equilateral triangles, split by its short
+    diagonal from corner (1, 0) to (0, 1): the nearest lattice point is
+    a vertex of z's triangle (at most a/sqrt(3) away), and every other
+    lattice point lies at least (sqrt(3)/2)*a from it.  Ties are broken
+    deterministically by (|z0|, m, n) ordering, with |z0|/a rounded to
+    12 decimals.
+
+    A scalar z runs in plain Python and returns (complex, int, int).  In
+    cell coordinates (x, y) the squared distance is a^2 (x^2 + xy + y^2),
+    so between the vertices of z's triangle it differs by expressions
+    linear in the fractional parts (fu, fv): two comparisons pick the
+    vertex.  Within _TIE_MARGIN of a tie, or far from the origin, the
+    four corners' rounded distances decide instead, which is what the
+    array path does.  An array returns arrays (z0, m, n) of its shape.
     Both read the cell frame that the lattice keeps (`spec.cell_frame`).
     """
     frame = spec.cell_frame
@@ -136,6 +155,21 @@ def fold_point(z: complex | np.ndarray, spec: LatticeSpec):
             raise DomainError(f"cannot fold a non-finite point {z}")
         u, v = _cell_coordinates(z, frame)
         m0, n0 = math.floor(u), math.floor(v)
+        fu, fv = u - m0, v - n0
+        # q(corner) - q(other corner), q = x^2 + xy + y^2 at z's offset from
+        # it: (1, 0) is nearer than (0, 1) when fu > fv, and d compares the
+        # nearer of the two with the triangle's third vertex
+        lower = fu + fv < 1.0  # triangle (0, 0), (1, 0), (0, 1), else (1, 1), (1, 0), (0, 1)
+        if fu > fv:
+            dm, dn, d = 1, 0, (1.0 - 2.0 * fu - fv if lower else fu + 2.0 * fv - 2.0)
+        else:
+            dm, dn, d = 0, 1, (1.0 - fu - 2.0 * fv if lower else 2.0 * fu + fv - 2.0)
+        if not (abs(d) < _TIE_MARGIN or abs(fu - fv) < _TIE_MARGIN
+                or abs(m0) + abs(n0) > _FAST_RANGE):
+            if d >= 0.0:
+                dm = dn = 0 if lower else 1
+            m, n = m0 + dm, n0 + dn
+            return z - m * w1 - n * w2, m, n
         best = None
         for dm, dn in _CORNERS:
             m, n = m0 + dm, n0 + dn

@@ -3,27 +3,29 @@
 Total fields are the uniform remote state plus the doubly-periodic
 corrective potentials.  Every field function evaluates through one
 evaluator: it folds the points into the Voronoi cell around the origin
-(`fold_point`, four-corner search), evaluates all five potentials at
-once as one product of the powers of zeta = z0/a (cell units) with the
-solution's collapsed series matrix, and restores the quasi-periodic
-increments analytically.  Periodicity is therefore exact by
-construction and evaluation is valid everywhere outside the holes.  The
-rim arbiter forms the same product on the tables' rim powers.
+(`fold_point`, the nearest vertex of the point's triangle), evaluates
+all five potentials at once as one product of the powers of
+zeta = z0/a (cell units) with the solution's collapsed series matrix,
+and restores the quasi-periodic increments analytically.  Periodicity
+is therefore exact by construction and evaluation is valid everywhere
+outside the holes.  The rim arbiter forms the same product on the
+tables' rim powers.
 
 An array of points takes the vectorised path.  A single point, as
-`total_stress` and `total_displacement` take, stays in plain Python
-numbers (`cmath`/`math`, Python complex lattice periods) around that
-one series product, because numpy's per-call overhead on a scalar costs
-more than the arithmetic itself.
+`total_stress` and `total_displacement` take, is one call of the point
+kernel (`_PointKernel.point`): it stays in plain Python numbers
+(`cmath`/`math`, Python complex lattice periods, numpy scalar inputs
+converted once) around one matrix-vector product, because numpy's
+per-call overhead on a scalar costs more than the arithmetic itself.
 
 What a point costs beyond its fold, one series product and the closing
 arithmetic is formed once and kept:
 - per (coeffs, tables) pair, a point kernel (`_PointKernel`): the
   periods, 1/a, lam^2, the cyclic constants, alpha0/beta0/alpha1/beta1
-  as Python complex and the complex series exponents.  One kernel is
-  kept, for the last pair evaluated, until a call names another pair; with it
-  the potentials of the last point, so a point's stress and
-  displacement share one fold and one product;
+  as Python complex, the complex series exponents and the transposed
+  series matrix.  One kernel is kept, for the last pair evaluated, until
+  a call names another pair; with it the potentials of the last point,
+  so a point's stress and displacement share one fold and one product;
 - per lattice, the cell frame of the fold (`LatticeSpec.cell_frame`);
 - per load, sigma_+, sigma_- and sigma_- e^(-+2i alpha) (`LoadCase`);
 - per tables, the rim arbiter's points and power matrix (`SeriesTables`).
@@ -68,12 +70,14 @@ class _PointKernel:
 
     The series exponents are kept complex: numpy would otherwise cast
     the integer row to complex on every power (the same complex loop, so
-    the same bits).  `_potentials` keeps the kernel of the last pair by
-    reference, so the pair it is keyed on (by identity) stays alive.
+    the same bits), and the series matrix transposed and C-contiguous,
+    so one point is one matrix-vector product.  `_potentials` keeps the
+    kernel of the last pair by reference, so the pair it is keyed on (by
+    identity) stays alive.
     """
 
     __slots__ = ("coeffs", "tables", "spec", "hole", "periods", "inv_a", "lam2", "deltas",
-                 "alpha0", "beta0", "alpha1", "beta1", "powers", "series", "last")
+                 "alpha0", "beta0", "alpha1", "beta1", "powers", "series", "series_t", "last")
 
     def __init__(self, coeffs: PotentialCoefficients, tables: SeriesTables):
         sums = tables.sums
@@ -87,7 +91,43 @@ class _PointKernel:
         self.alpha1, self.beta1 = complex(coeffs.alpha[0]), complex(coeffs.beta[0])
         self.powers = coeffs.powers.astype(complex)
         self.series = coeffs.series
+        self.series_t = np.ascontiguousarray(coeffs.series.T)
         self.last = (None, None, None)
+
+    def continued(self, z0, m, n, v) -> tuple:
+        """(Phi, Phi', Psi, phi, psi) at z0 + m*omega1 + n*omega2 from the
+        series columns v at z0: the quasi-periodic increments restored."""
+        (w1, w2), (delta1, delta2), alpha0 = self.periods, self.deltas, self.alpha0
+        phi, phi_d = v[0], v[2] / z0
+        w = m * w1 + n * w2
+        wc = w.conjugate()
+        dw = (m * delta1 + n * delta2) * self.lam2
+        return (
+            phi,
+            phi_d,
+            v[1] - wc * phi_d,
+            z0 * v[3] + alpha0 * w - self.alpha1 * dw,
+            z0 * v[4] + self.beta0 * w - self.beta1 * dw - wc * (phi - alpha0),
+        )
+
+    def point(self, z: complex, fold: bool) -> tuple:
+        """(Phi, Phi', Psi, phi, psi) at the Python complex z, as Python
+        complex; the last point's result again if z (sign of zero too) and
+        fold match it."""
+        last = self.last
+        # a zero part's sign can reach the results and == ignores it; repr does not
+        if z == last[0] and fold == last[1] and (z.real and z.imag or repr(last[0]) == repr(z)):
+            return last[2]
+        # the fields module's name, so that a wrapper set on it sees every fold
+        z0, m, n = fold_point(z, self.spec) if fold else (z, 0, 0)
+        r0 = abs(z0)
+        if r0 < self.hole:
+            raise DomainError(f"point {z} lies inside a hole (folded |z0| = {r0:.6g})")
+        zeta = z0 * self.inv_a  # cell units, as the array path forms them
+        v = self.series_t.dot(np.power(zeta * zeta, self.powers)).tolist()
+        result = self.continued(z0, m, n, v)
+        self.last = (z, fold, result)
+        return result
 
 
 @dataclass(frozen=True)
@@ -144,8 +184,8 @@ def _potentials(
 ):
     """(Phi, Phi', Psi, phi, psi) of the corrective problem at the points z.
 
-    Arrays of the shape of z, or Python complex for a scalar z, whose
-    arithmetic stays in plain Python around the one series product.
+    Arrays of the shape of z, or, for a scalar z (Python or numpy),
+    Python complex from one call of the point kernel (`_PointKernel.point`).
     Folding and the quasi-periodic increments are those that
     `potentials_eval` and `displacement_potentials` state.
 
@@ -158,46 +198,23 @@ def _potentials(
     k = _kernel
     if k is None or k.coeffs is not coeffs or k.tables is not tables:
         k = _kernel = _PointKernel(coeffs, tables)
-    scalar = isinstance(z, (complex, float, int)) or np.ndim(z) == 0
-    if scalar:
-        z = complex(z)
-        last = k.last
-        # a zero part's sign can reach the results and == ignores it; repr does not
-        if z == last[0] and fold == last[1] and (
-                z.real and z.imag or repr(last[0]) == repr(z)):
-            return last[2]
+    if isinstance(z, (complex, float, int)) or np.ndim(z) == 0:
+        return k.point(complex(z), fold)
     z0, m, n = fold_point(z, k.spec) if fold else (z, 0, 0)
     r0 = abs(z0)
     inside = r0 < k.hole
-    if inside if scalar else inside.any():
+    if inside.any():
         i = np.flatnonzero(inside)[0]
         raise DomainError(
             f"point {np.ravel(z)[i]} lies inside a hole (folded |z0| = {np.ravel(r0)[i]:.6g})"
         )
     zeta = z0 * k.inv_a  # cell units, as SeriesTables.rim_powers forms them
     z2 = zeta * zeta
-    # the five columns: Python complex for a point, (shape of z) views for an
-    # array (transpose is several times cheaper than np.moveaxis here)
-    if scalar:
-        v = np.dot(z2**k.powers, k.series).tolist()  # np.dot: same product, less dispatch than @
-    else:
-        v = np.power.outer(z2, k.powers) @ k.series
-        v = v.transpose(-1, *range(v.ndim - 1))
-    phi, phi_d = v[0], v[2] / z0
-    (w1, w2), (delta1, delta2), alpha0 = k.periods, k.deltas, k.alpha0
-    w = m * w1 + n * w2
-    wc = w.conjugate()
-    dw = (m * delta1 + n * delta2) * k.lam2
-    result = (
-        phi,
-        phi_d,
-        v[1] - wc * phi_d,
-        z0 * v[3] + alpha0 * w - k.alpha1 * dw,
-        z0 * v[4] + k.beta0 * w - k.beta1 * dw - wc * (phi - alpha0),
-    )
-    if scalar:
-        k.last = (z, fold, result)
-    return result
+    # the five columns as (shape of z) views (transpose is several times
+    # cheaper than np.moveaxis here)
+    v = np.power.outer(z2, k.powers) @ k.series
+    v = v.transpose(-1, *range(v.ndim - 1))
+    return k.continued(z0, m, n, v)
 
 
 def potentials_eval(
@@ -236,30 +253,34 @@ def total_stress(
 ) -> FieldSample:
     """Total stresses at the polar point (r, theta) of the central cell.
 
-    A non-finite r or theta, or a point inside a hole, raises DomainError.
+    A non-finite r, a theta whose 2*theta is not finite, or a point
+    inside a hole raises DomainError.
     """
-    if not (math.isfinite(r) and math.isfinite(theta)):
-        raise DomainError(f"polar point (r, theta) = ({r}, {theta}) is not finite")
-    rot = cmath.exp(2j * theta)
-    z = r * cmath.exp(1j * theta)
+    # Python numbers throughout: numpy scalars would make every step a numpy call
+    if type(r) is not float:
+        r = float(r)
+    if type(theta) is not float:
+        theta = float(theta)
+    if not (math.isfinite(r) and math.isfinite(2 * theta)):
+        raise DomainError(f"polar point (r, theta) = ({r}, {theta}): r and 2*theta must be finite")
+    e = cmath.exp(1j * theta)
+    rot = e * e
+    z = r * e
     load = prob.load
     phi, phi_d, psi, _, _ = _potentials(z, coeffs, tables)
-    srk, tauk = uniform_polar_stress(r, theta, load)
-    pol = srk - 1j * tauk + 2 * phi.real - (z.conjugate() * phi_d + psi) * rot
-    sigma_r = float(pol.real)
-    tau_rt = -float(pol.imag)
-    # Cartesian components from the total potentials (corrective + uniform)
-    phi_t = phi + load.sigma_plus / 2
-    psi_t = psi - load.minus_rotated[0]
-    trace = 4 * phi_t.real
-    dev = 2 * (z.conjugate() * phi_d + psi_t)
+    # the total potentials' trace 4 Re Phi and half deviator conj(z) Phi' + Psi,
+    # the remote state's Phi being sigma_+/2 and Psi -sigma_- e^(-2i alpha)
+    trace = 4 * (phi.real + load.sigma_plus / 2)
+    dev = z.conjugate() * phi_d + (psi - load.minus_rotated[0])
+    pol = trace / 2 - dev * rot  # sigma_r - i tau_rtheta
+    sigma_r = pol.real
     # one __dict__ in place of the frozen __init__'s eleven object.__setattr__
     sample = object.__new__(FieldSample)
     object.__setattr__(sample, "__dict__", {
-        "r": float(r), "theta": float(theta), "z": complex(z),
-        "sigma_r": sigma_r, "tau_rtheta": tau_rt, "sigma_theta": float(trace - sigma_r),
-        "sigma_x": float((trace - dev.real) / 2), "sigma_y": float((trace + dev.real) / 2),
-        "tau_xy": float(dev.imag / 2), "u2G": _NAN, "v2G": _NAN,
+        "r": r, "theta": theta, "z": z,
+        "sigma_r": sigma_r, "tau_rtheta": -pol.imag, "sigma_theta": trace - sigma_r,
+        "sigma_x": trace / 2 - dev.real, "sigma_y": trace / 2 + dev.real,
+        "tau_xy": dev.imag, "u2G": _NAN, "v2G": _NAN,
     })
     return sample
 

@@ -67,19 +67,22 @@ class LoadCase:
     def __post_init__(self):
         if not all(isfinite(v) for v in (self.sigma1, self.sigma2, self.alpha)):
             raise InvalidArgumentError(f"{self} must be finite")
+        if not isfinite(2 * float(self.alpha)):  # the load enters through 2*alpha
+            raise InvalidArgumentError(f"{self}: 2*alpha is not a finite double")
         if not (isfinite(self.sigma_plus) and isfinite(self.sigma_minus)):
             raise InvalidArgumentError(f"{self}: (sigma1 +- sigma2)/2 is not a finite double")
 
-    # sigma_+, sigma_- and sigma_- e^(-+2i alpha) are formed once per load:
-    # every field point reads them (cached_property fills the instance
-    # __dict__ directly, which a frozen dataclass allows)
+    # sigma_+, sigma_- and sigma_- e^(-+2i alpha) are formed once per load,
+    # as Python numbers whatever the inputs: every field point reads them
+    # (cached_property fills the instance __dict__ directly, which a frozen
+    # dataclass allows)
     @cached_property
     def sigma_plus(self) -> float:
-        return 0.5 * (self.sigma1 + self.sigma2)
+        return float(0.5 * (self.sigma1 + self.sigma2))
 
     @cached_property
     def sigma_minus(self) -> float:
-        return 0.5 * (self.sigma1 - self.sigma2)
+        return float(0.5 * (self.sigma1 - self.sigma2))
 
     @cached_property
     def minus_rotated(self) -> tuple[complex, complex]:

@@ -109,6 +109,22 @@ class TestConfig:
     def test_non_finite_theta(self, tmp_path):
         assert run(tmp_path, "field", "a=1", "theta=inf")[0] == 2
 
+    @pytest.mark.parametrize("args, key", [
+        (("field", "theta=1e308"), "theta"),
+        (("sweep", "sweep_theta=1e308"), "theta"),
+        (("solve", "alpha=1e308"), "alpha"),
+        (("field", "alphas=1e308"), "alpha"),
+    ])
+    def test_angle_whose_double_overflows(self, tmp_path, capsys, args, key):
+        # the fields and the load enter through e^(2i angle): a finite angle
+        # whose double is not finite is refused, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(tmp_path, *args, "a=1", "n_r=3", "n_alpha=3")
+        assert code == 2
+        assert f"2*{key}" in capsys.readouterr().err
+        assert not (out / "check.json").exists()
+
     @pytest.mark.parametrize("args", [
         ("sums",),
         ("solve",),
@@ -539,6 +555,18 @@ class TestModuli:
                      "direction=effective_to_bond", "nu=0.3"]) == 2
         assert main(["moduli", "--out", str(tmp_path), "a=1",
                      "direction=bond_to_effective", "nu_eff=0.3"]) == 2
+
+    @pytest.mark.parametrize("bounds", [("0.3", "0.1"), ("0.1", "0.1"), ("0.1", "0.6")])
+    def test_lambda_range_must_ascend_inside_the_cell(self, tmp_path, capsys, bounds):
+        # a reversed range wrote descending rows, equal bounds repeated one
+        # row, and a range past a/2 failed the arbiter (exit 4) at a radius
+        # before the first one that does not fit
+        code, out = run(tmp_path, "moduli", "a=1", "direction=bond_to_effective", "nu=0.3",
+                        f"lam_ratio_min={bounds[0]}", f"lam_ratio_max={bounds[1]}")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "lam_ratio_min" in err and "lam_ratio_max" in err
+        assert not (out / "moduli.csv").exists()
 
     def test_unreachable_nu_eff_blames_nu_eff(self, tmp_path, capsys):
         # near lambda = 0.45a no bond ratio in (-1, 1) gives nu_eff = 0.45; the

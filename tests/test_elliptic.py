@@ -1,5 +1,7 @@
 """Laurent evaluators against the direct-sum oracle."""
 
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,6 +163,49 @@ class TestFolding:
         for bad in (complex(np.nan, 0.0), np.array([0.1, np.inf])):
             with pytest.raises(errors.DomainError):
                 elliptic.fold_point(bad, spec)
+
+    @pytest.mark.parametrize("a", [1e-3, 1.0, 2.46, 246.0])
+    @pytest.mark.parametrize("turn", [0.0, 0.37])
+    def test_margin_sweep_is_bit_identical(self, a, turn):
+        # the scalar fold's two comparisons, its tie margin and its range
+        # guard against the four-corner array search and the 7 x 7 window,
+        # from well inside to well below the margin, near and far from the origin
+        spin = cmath.exp(1j * turn)
+        w1, w2 = lattice._periods(a)
+        sp = lattice.LatticeSpec(a=a, omega1=w1 * spin, omega2=w2 * spin, m=0, n=0, alpha=0.0)
+        z = np.array(_margin_sweep_points(sp))
+        z0, m, n = elliptic.fold_point(z, sp)
+        for i, zi in enumerate(map(complex, z)):
+            assert elliptic.fold_point(zi, sp) == (z0[i], m[i], n[i]), zi
+            assert _fold_brute_force(zi, sp) == (z0[i], m[i], n[i]), zi
+
+
+# Distances (in units of a) of the margin sweep's points from a Voronoi
+# edge or vertex, and the translates (m, n) it moves them by: around the
+# scalar fold's range guard |m| + |n| = 2^20, and beyond it.
+_SWEEP_DISTANCES = (1e-13, 1e-12, 1e-10, 3e-10, 1e-9, 3e-9, 1e-7)
+_SWEEP_TRANSLATES = ((0, 0), (3, -5), (1 << 10, -(1 << 9)), ((1 << 19) - 1, 1 << 19),
+                     (-(1 << 19), -(1 << 19)), (1 << 20, 1), (-(1 << 29), 1 << 30),
+                     (1 << 30, 1 << 30))
+
+
+def _margin_sweep_points(spec):
+    """Points at _SWEEP_DISTANCES to both sides of the six Voronoi edges of
+    the cell around the origin (at two places along each) and around its
+    six vertices, moved by each of _SWEEP_TRANSLATES."""
+    a, w1, w2 = spec.a, spec.omega1, spec.omega2
+    nbrs = sorted((w1, w2, w2 - w1, -w1, -w2, w1 - w2), key=np.angle)
+    pts = []
+    for k, nb in enumerate(nbrs):
+        normal = nb / abs(nb)
+        vertex = (nb + nbrs[(k + 1) % 6]) / 3  # corner of the cell, a/sqrt(3) out
+        for d in _SWEEP_DISTANCES:
+            for t in (-0.8, 0.45):  # along the edge, in half-lengths a/(2 sqrt(3))
+                mid = nb / 2 + t * a / (2 * np.sqrt(3)) * 1j * normal
+                pts += [mid + d * a * normal, mid - d * a * normal]
+            pts += [vertex + d * a * cmath.exp(1j * (2 * cmath.pi / 3 * j + 0.2)) * normal
+                    for j in range(3)]
+    return [p + m * w1 + n * w2 for m, n in _SWEEP_TRANSLATES for p in pts]
 
 
 def _tie_points(spec):

@@ -356,6 +356,25 @@ class TestPointMemo:
             fields.total_displacement(f.z, prob, coeffs, tables, 0.3)
         assert len(folds) == len(points)
 
+    def test_one_fold_per_point_python_floats(self, spec, solved, tables, monkeypatch):
+        # as above, with the Python floats that callers such as the
+        # benchmark pass in place of numpy scalars
+        prob, coeffs = solved
+        folds = []
+
+        def spy(z, spec):
+            folds.append(z)
+            return elliptic.fold_point(z, spec)
+
+        monkeypatch.setattr(fields, "fold_point", spy)
+        points = [complex(z) for z in _evaluator_points(spec, prob.lam, count=20, seed=53)]
+        for z in points:
+            r, theta = abs(z), cmath.phase(z)
+            assert type(r) is float and type(theta) is float
+            f = fields.total_stress(r, theta, prob, coeffs, tables)
+            fields.total_displacement(f.z, prob, coeffs, tables, 0.3)
+        assert len(folds) == len(points)
+
 
 class TestPointKernel:
     """A one-point evaluation reads the constants of its (coeffs, tables)
@@ -463,6 +482,22 @@ class TestScalarPath:
         assert all(type(v) is float for v in fields.total_displacement(f.z, prob, coeffs, tables, 0.3))
         assert all(type(v) is complex for v in fields._potentials(f.z, coeffs, tables))
 
+    def test_python_and_numpy_scalars_give_the_same_bits(self, spec, solved, tables):
+        prob, coeffs = solved
+        for z in _evaluator_points(spec, prob.lam, count=20, seed=59):
+            r, th = np.abs(z), np.angle(z)
+            out = []
+            for rr, tt, zz in ((r, th, z), (float(r), float(th), complex(z))):
+                for before in (lambda: None, _forget):
+                    before()
+                    f = fields.total_stress(rr, tt, prob, coeffs, tables)
+                    before()
+                    u = fields.total_displacement(zz, prob, coeffs, tables, 0.3)
+                    assert type(f.r) is type(f.theta) is float and type(f.z) is complex
+                    assert all(type(v) is float for v in dataclasses.astuple(f)[3:] + u)
+                    out.append(_bits(dataclasses.astuple(f) + u))
+            assert len(set(out)) == 1, z
+
     @pytest.mark.parametrize("r, theta", [
         (np.nan, 0.1), (np.inf, 0.1), (0.3, np.inf), (0.3, -np.inf), (0.3, np.nan),
     ])
@@ -470,6 +505,13 @@ class TestScalarPath:
         prob, coeffs = solved
         with pytest.raises(errors.DomainError):
             fields.total_stress(r, theta, prob, coeffs, tables)
+
+    @pytest.mark.parametrize("theta", [1e308, -9e307, np.float64(1e308)])
+    def test_angle_whose_double_overflows(self, solved, tables, theta):
+        # the point enters through e^(2i theta): 2*theta must be a finite double
+        prob, coeffs = solved
+        with pytest.raises(errors.DomainError, match="2\\*theta"):
+            fields.total_stress(0.3, theta, prob, coeffs, tables)
 
     @pytest.mark.parametrize("z", [complex(np.nan, 0.1), complex(0.3, np.inf)])
     def test_non_finite_displacement_point(self, solved, tables, z):

@@ -1,6 +1,7 @@
 """Truncated systems, closed-form coefficient chains, structural zeros."""
 
 import dataclasses
+import warnings
 from math import lgamma
 
 import numpy as np
@@ -192,6 +193,15 @@ class TestLoadCase:
         with pytest.raises(errors.InvalidArgumentError):
             solver.LoadCase(sigma1, sigma2, 0.0)
         assert solver.LoadCase(sigma1, 0.0, 0.0).sigma_minus == sigma1 / 2
+
+    @pytest.mark.parametrize("alpha", [1e308, -1e308, np.float64(9e307)])
+    def test_angle_whose_double_overflows_rejected(self, alpha):
+        # the load enters through 2*alpha (its weights, its remote Psi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.InvalidArgumentError, match="2\\*alpha"):
+                solver.LoadCase(2.0, 1.0, alpha)
+        assert solver.LoadCase(2.0, 1.0, 8.9e307).weights[0] == 1.5
 
     @given(st.floats(-5, 5), st.floats(-5, 5))
     def test_plus_minus_decomposition(self, s1, s2):

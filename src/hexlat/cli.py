@@ -121,9 +121,24 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             raise ConfigurationError(f"{key} must lie in [2, {_MAX_SAMPLES}], got {cfg[key]}")
     if cfg["K"] + 2 > _MAX_ORDER:  # the solve needs lattice sums to order K + 2
         raise ConfigurationError(f"K must be at most {_MAX_ORDER - 2}, got {cfg['K']}")
-    # checked for every command; the config keeps (and check.json echoes) the string
-    for key in ("alphas", "r_factors"):
-        _float_list(cfg[key], key)
+    # checked for every command, before any lattice sum is formed; the config
+    # keeps (and check.json echoes) the list strings
+    _float_list(cfg["r_factors"], "r_factors")
+    # the load and the fields take their angles through e^(2i angle)
+    for key, name, values in (
+        ("alpha", "alpha", [cfg["alpha"] or 0.0]),
+        ("alphas", "alpha", _float_list(cfg["alphas"], "alphas")),
+        ("theta", "theta", [cfg["theta"]]),
+        ("sweep_theta", "theta", [cfg["sweep_theta"]]),
+    ):
+        for v in values:
+            if not math.isfinite(2 * v):
+                raise ConfigurationError(f"key {key!r}: 2*{name} = 2*{v!r} is not a finite double")
+    s1, s2 = cfg["sigma1"], cfg["sigma2"]
+    if not (math.isfinite(0.5 * (s1 + s2)) and math.isfinite(0.5 * (s1 - s2))):
+        raise ConfigurationError(
+            f"sigma1 = {s1!r}, sigma2 = {s2!r}: (sigma1 +- sigma2)/2 is not a finite double"
+        )
     return cfg
 
 

@@ -21,11 +21,10 @@ The period parallelogram that holds it is two equilateral triangles, and
 the nearest lattice point is always a vertex of the point's triangle.  A
 scalar point picks that vertex by two comparisons of squared distances,
 which are linear in its cell coordinates (the hexagonal-lattice closest
-point of Conway & Sloane, IEEE Trans. Inf. Theory 28:227, 1982); near a
-tie it compares the four corners of the parallelogram by their rounded
-distances, as an array of points always does, so both return the same
-bits.  A scalar point is folded in plain Python arithmetic, an array in
-numpy.
+point of Conway & Sloane, IEEE Trans. Inf. Theory 28:227, 1982), in plain
+Python arithmetic.  An array compares the four corners of the
+parallelogram by their rounded distances, in numpy; a scalar point near a
+tie is folded as a one-element array, so both return the same bits.
 """
 
 from __future__ import annotations
@@ -78,18 +77,16 @@ class EllipticEvaluator:
             raise InvalidArgumentError("laurent_terms must be >= 4")
 
 
-def make_evaluator(sums: LatticeSums, r_min: float | None = None, r_max: float | None = None) -> EllipticEvaluator:
-    """Evaluator with the retained-power count chosen adaptively.
+def make_evaluator(sums: LatticeSums) -> EllipticEvaluator:
+    """Evaluator on the annulus 1e-3 a <= |z| <= 0.3 a, with the
+    retained-power count chosen adaptively.
 
     Powers are added until the last retained p-series term falls below
-    1e-16 of the singular part at |z| = r_max, capped at 64 terms and at
+    1e-16 of the singular part at |z| = 0.3 a, capped at 64 terms and at
     the available s_max.
     """
     a = sums.spec.a
-    if r_min is None:
-        r_min = 1e-3 * a
-    if r_max is None:
-        r_max = 0.3 * a
+    r_min, r_max = 1e-3 * a, 0.3 * a
     scale = r_max**-2
     terms = 4
     quiet = 0  # consecutive negligible terms (zero pattern leaves 2 of 3 empty)
@@ -105,15 +102,14 @@ def make_evaluator(sums: LatticeSums, r_min: float | None = None, r_max: float |
 # Corners (dm, dn) of the period parallelogram that holds z, in
 # ascending order so that the first minimum breaks distance ties by the
 # smallest (m, n).
-_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
-_CORNER_DM, _CORNER_DN = np.array(_CORNERS).T
+_CORNER_DM, _CORNER_DN = np.array(((0, 0), (0, 1), (1, 0), (1, 1))).T
 # Distances are compared in units of 1e-12 a, rounded half to even, so
 # translates within rounding of each other count as tied.
 _TIE_UNITS = 1e12
-# A scalar fold compares the four corners' rounded distances only when its
-# two comparisons decide by less than this many a^2 of squared distance, or
-# when |m| + |n| exceeds _FAST_RANGE: beyond it the rounding of the cell
-# coordinates (about |m| + |n| ulps) nears the margin.
+# A scalar fold compares the four corners' rounded distances only when a
+# comparison that picks its vertex decides by less than this many a^2 of
+# squared distance, or when |m| + |n| exceeds _FAST_RANGE: beyond it the
+# rounding of the cell coordinates (about |m| + |n| ulps) nears the margin.
 _TIE_MARGIN = 1e-9
 _FAST_RANGE = 1 << 20
 
@@ -141,13 +137,13 @@ def fold_point(z: complex | np.ndarray, spec: LatticeSpec):
     cell coordinates (x, y) the squared distance is a^2 (x^2 + xy + y^2),
     so between the vertices of z's triangle it differs by expressions
     linear in the fractional parts (fu, fv): two comparisons pick the
-    vertex.  Within _TIE_MARGIN of a tie, or far from the origin, the
-    four corners' rounded distances decide instead, which is what the
-    array path does.  An array returns arrays (z0, m, n) of its shape.
-    Both read the cell frame that the lattice keeps (`spec.cell_frame`).
+    vertex.  Within _TIE_MARGIN of a tie, or far from the origin, it is
+    folded as a one-element array: an array returns arrays (z0, m, n) of
+    its shape, from the four corners' rounded distances, so both paths
+    return the same bits.  Both read the lattice's `spec.cell_frame`.
     """
     frame = spec.cell_frame
-    w1, w2, a = frame[:3]
+    w1, w2 = frame[:2]
     # Python numbers are tested first: np.ndim on one costs half a scalar fold
     if isinstance(z, (complex, float, int)) or np.ndim(z) == 0:
         z = complex(z)
@@ -158,33 +154,36 @@ def fold_point(z: complex | np.ndarray, spec: LatticeSpec):
         fu, fv = u - m0, v - n0
         # q(corner) - q(other corner), q = x^2 + xy + y^2 at z's offset from
         # it: (1, 0) is nearer than (0, 1) when fu > fv, and d compares the
-        # nearer of the two with the triangle's third vertex
+        # nearer of the two with the triangle's third vertex, so fu vs fv
+        # decides the vertex only when d < 0
         lower = fu + fv < 1.0  # triangle (0, 0), (1, 0), (0, 1), else (1, 1), (1, 0), (0, 1)
         if fu > fv:
             dm, dn, d = 1, 0, (1.0 - 2.0 * fu - fv if lower else fu + 2.0 * fv - 2.0)
         else:
             dm, dn, d = 0, 1, (1.0 - fu - 2.0 * fv if lower else 2.0 * fu + fv - 2.0)
-        if not (abs(d) < _TIE_MARGIN or abs(fu - fv) < _TIE_MARGIN
-                or abs(m0) + abs(n0) > _FAST_RANGE):
-            if d >= 0.0:
-                dm = dn = 0 if lower else 1
-            m, n = m0 + dm, n0 + dn
-            return z - m * w1 - n * w2, m, n
-        best = None
-        for dm, dn in _CORNERS:
-            m, n = m0 + dm, n0 + dn
-            z0 = z - m * w1 - n * w2
-            key = round(abs(z0) / a * _TIE_UNITS)
-            if best is None or key < best[0]:
-                best = key, z0, m, n
-        return best[1:]
+        near_tie = abs(d) < _TIE_MARGIN or (d < 0.0 and abs(fu - fv) < _TIE_MARGIN)
+        if near_tie or abs(m0) + abs(n0) > _FAST_RANGE:
+            z0, m, n = _fold_corners(np.array(z), frame)
+            return complex(z0), int(m), int(n)
+        if d >= 0.0:
+            dm = dn = 0 if lower else 1
+        m, n = m0 + dm, n0 + dn
+        return z - m * w1 - n * w2, m, n
     za = np.asarray(z, dtype=complex)
     if not np.isfinite(za).all():
         raise DomainError(f"cannot fold a non-finite point {z}")
-    u, v = _cell_coordinates(za.reshape(-1, 1), frame)
+    return _fold_corners(za, frame)
+
+
+def _fold_corners(za: np.ndarray, frame: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrays (z0, m, n) of za's shape: each point's nearest corner of its period
+    parallelogram, by distance rounded to 1e-12 a, the smallest (m, n) among equals."""
+    w1, w2, a = frame[:3]
+    z = za.reshape(-1, 1)
+    u, v = _cell_coordinates(z, frame)
     m = np.floor(u).astype(int) + _CORNER_DM
     n = np.floor(v).astype(int) + _CORNER_DN
-    cand = za.reshape(-1, 1) - m * w1 - n * w2
+    cand = z - m * w1 - n * w2
     pick = np.arange(len(cand)), np.argmin(np.rint(np.abs(cand) / a * _TIE_UNITS), axis=1)
     return tuple(arr[pick].reshape(za.shape) for arr in (cand, m, n))
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, InvalidArgumentError, NumericalError
+from .errors import InvalidArgumentError, NumericalError
 from .lattice import LatticeSpec, LatticeSums, _periods
 from .solver import unit_load_coefficients
 
@@ -128,28 +128,18 @@ def homogenization_data(
     *,
     sums: LatticeSums,
 ) -> HomogenizationData:
-    """Unit-load coefficient set for one (lattice, hole radius) pair."""
+    """Unit-load coefficient set for one (lattice, hole radius) pair.  The
+    four are real: both unit loads leave the imaginary system's right-hand
+    side exactly zero."""
     plus, minus = unit_load_coefficients(spec, lam, K=K, sums=sums)
-    vals = {
-        "alpha0_plus": plus.alpha0,
-        "beta1_plus": plus.beta[0],
-        "alpha1_minus": minus.alpha[0],
-        "beta0_minus": minus.beta0,
-    }
-    scale = max(abs(v) for v in vals.values())
-    for name, v in vals.items():
-        if abs(np.imag(v)) > 1e-9 * max(scale, 1.0):
-            raise ConsistencyError(
-                f"unit-load coefficient {name} = {v} is not real", residual=abs(np.imag(v))
-            )
     return HomogenizationData(
         a=spec.a,
         lam=float(lam),
         delta=float(sums.delta),
-        alpha0_plus=float(np.real(vals["alpha0_plus"])),
-        beta1_plus=float(np.real(vals["beta1_plus"])),
-        alpha1_minus=float(np.real(vals["alpha1_minus"])),
-        beta0_minus=float(np.real(vals["beta0_minus"])),
+        alpha0_plus=float(plus.alpha0.real),
+        beta1_plus=float(plus.beta[0].real),
+        alpha1_minus=float(minus.alpha[0].real),
+        beta0_minus=float(minus.beta0.real),
     )
 
 

@@ -43,6 +43,8 @@ __all__ = [
 
 # Relative size below which an outer ring's contribution counts as converged.
 _RING_EPS = 1e-16
+# Largest share of c_3 or d_2 (the slowest sums) that the outermost ring may add.
+_TAIL_TOL = 1e-4
 # Largest ring count accepted: the sums build one (2*shells+1)^2 index grid
 # (at the cap about 0.2 s at s_max = 40, 0.6 s at 256, and 60 MB).
 _MAX_SHELLS = 512
@@ -155,7 +157,6 @@ class LatticeSums:
     gamma2: complex
     g2: float
     g3: float
-    sum_radius: int
     tail: float
     method: str
 
@@ -176,7 +177,7 @@ class LatticeSums:
 
 
 def _raw_sums(s_max: int, shells: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Ring-by-ring sums on the a = 1 lattice with a convergence monitor.
+    """Ring-by-ring sums on the a = 1 lattice (s_max >= 3) with a convergence monitor.
 
     Returns (c, d, tail) where tail is the relative contribution of the
     outermost summed ring to the slowest entries (c_3 and d_2).
@@ -187,7 +188,7 @@ def _raw_sums(s_max: int, shells: int) -> tuple[np.ndarray, np.ndarray, float]:
 
     c = np.zeros(s_max + 1)
     d = np.zeros(s_max + 1)
-    last = np.zeros((2, s_max + 1))  # outermost ring contributions
+    last_c3 = last_d2 = 0.0  # the outermost ring's terms (orders 2 and 3 stay active)
     order = np.argsort(ring, kind="stable")
     w = w[order]
     ring = ring[order]
@@ -206,17 +207,14 @@ def _raw_sums(s_max: int, shells: int) -> tuple[np.ndarray, np.ndarray, float]:
             dd = np.real(np.sum(np.conj(wr) * p / wr))
             c[s] += dc
             d[s] += dd
-            last[0, s] = dc
-            last[1, s] = dd
+            if s == 2:
+                last_d2 = dd
+            elif s == 3:
+                last_c3 = dc
             scale = max(abs(c[s]), abs(d[s]), 1e-300)
             if max(abs(dc), abs(dd)) < _RING_EPS * scale and s > 3:
                 active[s] = False
-    tail = 0.0
-    if s_max >= 3 and c[3] != 0.0:
-        tail = abs(last[0, 3]) / abs(c[3])
-    if s_max >= 2 and d[2] != 0.0:
-        tail = max(tail, abs(last[1, 2]) / abs(d[2]))
-    return c, d, tail
+    return c, d, max(abs(last_c3) / abs(c[3]), abs(last_d2) / abs(d[2]))
 
 
 def recursion_c(c3: float, s_max: int) -> np.ndarray:
@@ -243,7 +241,6 @@ def compute_lattice_sums(
     s_max: int = 40,
     shells: int = 64,
     method: str = "hybrid",
-    tail_tol: float = 1e-4,
 ) -> LatticeSums:
     """Lattice sums c_s, d_s plus all cyclic constants for `spec`.
 
@@ -252,10 +249,10 @@ def compute_lattice_sums(
     by the summed c_3 (exact, cancellation-free); "direct" keeps every
     summed c_s and serves as the oracle.  Both methods take delta,
     delta_j and gamma_j from their closed form (module docstring).  Raises
-    PrecisionError when the outermost ring still contributes more than
-    tail_tol of the slowest sums, and InvalidArgumentError when shells
-    lies outside [2, 512], s_max outside [3, 256], or the rescaling to
-    spec.a is not representable (a^(+-2 s_max) not a finite, normal double).
+    PrecisionError when the outermost ring still adds more than 1e-4 of
+    c_3 or d_2, and InvalidArgumentError when shells lies outside
+    [2, 512], s_max outside [3, 256], or the rescaling to spec.a is not
+    representable (a^(+-2 s_max) not a finite, normal double).
     """
     if not 3 <= s_max <= _MAX_ORDER:
         raise InvalidArgumentError(f"s_max must lie in [3, {_MAX_ORDER}], got {s_max}")
@@ -275,10 +272,10 @@ def compute_lattice_sums(
         )
 
     c, d, tail = _raw_sums(s_max, shells)
-    if tail > tail_tol:
+    if tail > _TAIL_TOL:
         raise PrecisionError(
             f"lattice sums not converged at shells={shells}: "
-            f"outermost ring still contributes {tail:.3e} (tolerance {tail_tol:.1e})",
+            f"outermost ring still contributes {tail:.3e} (tolerance {_TAIL_TOL:.1e})",
             tail=tail,
         )
     g2 = 20.0 * c[2]
@@ -305,7 +302,6 @@ def compute_lattice_sums(
         gamma2=0j,
         g2=g2 / a**4,
         g3=g3 / a**6,
-        sum_radius=shells,
         tail=tail,
         method=method,
     )

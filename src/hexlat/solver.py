@@ -342,22 +342,17 @@ def unit_load_coefficients(
     """Coefficient sets for the two unit loads at load angle 0.
 
     `plus` solves (sigma_+, sigma_-) = (1, 0) and `minus` (0, 1); these
-    are the inputs to homogenization.  The structural zeros
-    alpha_1+ = beta_0+ = 0 and alpha_0- = beta_1- = 0 are verified.
+    are the inputs to homogenization.  The structural zeros alpha_1+ = 0
+    and beta_1- = 0 are verified.  The zeros beta_0+ and alpha_0- follow:
+    the basis sets them to b conj(alpha_1+) and (b/2) beta_1-, with b < 1.
     """
     tables = series_tables(sums, lam, K)
     plus, minus = (
         solve_coefficients(ProblemSpec(spec, lam, load, K), tables) for load in UNIT_LOADS[:2]
     )
-    scale = 1e-10
-    if abs(plus.alpha[0]) > scale or abs(plus.beta0) > scale:
+    if abs(plus.alpha[0]) > 1e-10 or abs(minus.beta[0]) > 1e-10:
         raise ConsistencyError(
-            f"plus unit load violates its structural zeros: "
-            f"alpha1 = {plus.alpha[0]:.3e}, beta0 = {plus.beta0:.3e}"
-        )
-    if abs(minus.alpha0) > scale or abs(minus.beta[0]) > scale:
-        raise ConsistencyError(
-            f"minus unit load violates its structural zeros: "
-            f"alpha0 = {minus.alpha0:.3e}, beta1 = {minus.beta[0]:.3e}"
+            f"unit loads miss their structural zeros: "
+            f"alpha1+ = {plus.alpha[0]:.3e}, beta1- = {minus.beta[0]:.3e}"
         )
     return plus, minus

@@ -140,6 +140,28 @@ class TestConfig:
         assert code == 0
         assert json.loads((out / "check.json").read_text())["config"]["alphas"] == "0.1, 0.2"
 
+    @pytest.mark.parametrize("command", ["sums", "solve", "field", "sweep", "moduli"])
+    @pytest.mark.parametrize("bad, reason", [
+        (("alpha=1e308",), "2*alpha"),
+        (("alphas=0.1,-9e307",), "2*alpha"),
+        (("theta=1e308",), "2*theta"),
+        (("sweep_theta=-1e308",), "2*theta"),
+        (("sigma1=1e308", "sigma2=-1e308"), "sigma"),
+        (("sigma1=1.7e308", "sigma2=1e308"), "sigma"),
+    ])
+    def test_overflowing_angle_or_load_refused_before_any_sum(
+        self, tmp_path, capsys, monkeypatch, command, bad, reason
+    ):
+        # refused where the config is read, for every command, whatever it uses
+        def unreached(*args, **kwargs):
+            raise AssertionError("lattice sums were computed for a refused config")
+
+        monkeypatch.setattr(cli, "compute_lattice_sums", unreached)
+        code, out = run(tmp_path, command, "a=1", "direction=bond_to_effective", "nu=0.3", *bad)
+        assert code == 2
+        assert reason in capsys.readouterr().err
+        assert not (out / "check.json").exists()
+
     def test_ring_count_capped(self, tmp_path):
         # the index grid of 10^7 rings would need petabytes
         code, out = run(tmp_path, "sums", "a=1", "shells=10000000")

@@ -179,6 +179,25 @@ class TestFolding:
             assert elliptic.fold_point(zi, sp) == (z0[i], m[i], n[i]), zi
             assert _fold_brute_force(zi, sp) == (z0[i], m[i], n[i]), zi
 
+    @pytest.mark.parametrize("a", [1.0, 246.0])
+    def test_axis_points_fold_by_two_comparisons(self, a, monkeypatch):
+        # on the real axis (and its translates) the cell coordinates are equal,
+        # fu == fv, which picks no vertex while the third one is nearer: such
+        # points fold without the four-corner search unless they sit within
+        # the margin of the Voronoi vertex at a/sqrt(3), and match the array fold
+        sp = lattice.build_lattice(a, 1, 1)
+        x = np.concatenate([np.linspace(-1, 1, 201) * (1 - 1e-6), [-1.0, 1.0]]) * a / np.sqrt(3)
+        z = np.array([p + m * sp.omega1 + n * sp.omega2 for m, n in ((0, 0), (2, -1), (-3, 5))
+                      for p in x])
+        z0, m, n = elliptic.fold_point(z, sp)
+        searched = []
+        search = elliptic._fold_corners
+        monkeypatch.setattr(elliptic, "_fold_corners",
+                            lambda za, frame: searched.append(complex(za)) or search(za, frame))
+        for i, zi in enumerate(map(complex, z)):
+            assert elliptic.fold_point(zi, sp) == (z0[i], m[i], n[i]), zi
+        assert len(searched) == 6  # the two vertices, at three translates
+
 
 # Distances (in units of a) of the margin sweep's points from a Voronoi
 # edge or vertex, and the translates (m, n) it moves them by: around the

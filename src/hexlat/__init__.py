@@ -48,7 +48,6 @@ from .fields import (
 )
 from .homogenize import (
     HomogenizationData,
-    ModuliSet,
     bond_from_effective,
     effective_from_bond,
     homogenization_data,
@@ -84,7 +83,6 @@ __all__ = [
     "total_displacement",
     "boundary_residual",
     "isolated_hole_reference",
-    "ModuliSet",
     "HomogenizationData",
     "homogenization_data",
     "bond_from_effective",

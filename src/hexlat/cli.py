@@ -30,7 +30,7 @@ from .errors import (
     NumericalError,
     PrecisionError,
 )
-from .fields import cell_boundary_radius, rim_defect, total_displacement, total_stress
+from .fields import cell_boundary_radius, rim_spectrum, total_displacement, total_stress
 from .homogenize import bond_from_effective, effective_from_bond, homogenization_data, isotropy_check
 from .lattice import _MAX_ORDER, build_lattice, compute_lattice_sums, lattice_from_alpha
 from .solver import (
@@ -173,14 +173,9 @@ def _float_list(raw: str, key: str) -> list[float]:
     return values
 
 
-def _g17(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def _write_csv(path: Path, header: list[str], rows: list[list[float]]):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_g17(v) for v in row))
+    row_format = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header)] + [row_format % tuple(row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -278,22 +273,22 @@ def _cut(cfg: dict, out: Path, spec, lam: float, theta: float, radii, angles):
     """Write field.csv of the cut at theta: the radii, for every load angle.
     Returns the values[load, radius, column] written and their checks.
 
-    Fields and rim defect are real-linear in the load weights, so each
+    Fields and rim spectrum are real-linear in the load weights, so each
     point is evaluated once per unit-load solution of `tables.basis`, and
     each load's values are their weighted sum.  One product gates every
-    load on its own residual max|sum_i w_i D_i| over the rim (D_i: unit
-    load i's defect), as solve_coefficients gates one load.  The unit
-    loads are not gated: at their unit scale they may miss a gate that a
-    superposed load meets.
+    load on its own whole-rim bound sum_n |sum_i w_i D_in| (D_i: unit
+    load i's rim spectrum), as solve_coefficients gates one load.  The
+    unit loads are not gated: at their unit scale they may miss a gate
+    that a superposed load meets.
     """
     if cfg["nu_eff"] is not None:
         raise ConfigurationError("field displacements take the bond Poisson ratio nu, not nu_eff")
     nu = 0.2668 if cfg["nu"] is None else cfg["nu"]
     tables = series_tables(_lattice_sums(cfg, spec), lam, cfg["K"])
-    defects, units = [], []
+    spectra, units = [], []
     for unit, coeffs in zip(UNIT_LOADS, tables.basis):
         prob = ProblemSpec(spec, lam, unit, cfg["K"])
-        defects.append(rim_defect(prob, coeffs, tables))
+        spectra.append(rim_spectrum(prob, coeffs, tables))
         for r in radii:
             f = total_stress(r, theta, prob, coeffs, tables)
             units += [f.sigma_r, f.tau_rtheta, f.sigma_theta, f.sigma_x, f.sigma_y, f.tau_xy]
@@ -301,7 +296,7 @@ def _cut(cfg: dict, out: Path, spec, lam: float, theta: float, radii, angles):
     loads = [LoadCase(cfg["sigma1"], cfg["sigma2"], ang) for ang in angles]
     weights = np.array([load.weights for load in loads])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        residuals = np.max(np.abs(weights @ np.array(defects)), axis=1)
+        residuals = np.sum(np.abs(weights @ np.array(spectra)), axis=1)
         superposed = weights @ np.reshape(units, (3, -1))
     worst = max(gate_residual(float(res), load) for load, res in zip(loads, residuals))
     if not np.isfinite(superposed).all():

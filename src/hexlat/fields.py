@@ -8,8 +8,8 @@ all five potentials at once as one product of the powers of
 zeta = z0/a (cell units) with the solution's collapsed series matrix,
 and restores the quasi-periodic increments analytically.  Periodicity
 is therefore exact by construction and evaluation is valid everywhere
-outside the holes.  The rim arbiter forms the same product on the
-tables' rim powers.
+outside the holes.  The rim arbiter (`rim_spectrum`) reads the rim
+defect's Fourier modes straight off the series rows, sampling nothing.
 
 An array of points takes the vectorised path.  A single point, as
 `total_stress` and `total_displacement` take, is one call of the point
@@ -27,8 +27,7 @@ arithmetic is formed once and kept:
   a call names another pair; with it the potentials of the last point,
   so a point's stress and displacement share one fold and one product;
 - per lattice, the cell frame of the fold (`LatticeSpec.cell_frame`);
-- per load, sigma_+, sigma_- and sigma_- e^(-+2i alpha) (`LoadCase`);
-- per tables, the rim arbiter's points and power matrix (`SeriesTables`).
+- per load, sigma_+, sigma_- and sigma_- e^(-+2i alpha) (`LoadCase`).
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ __all__ = [
     "displacement_potentials",
     "total_stress",
     "total_displacement",
-    "rim_defect",
+    "rim_spectrum",
     "boundary_residual",
     "isolated_hole_reference",
 ]
@@ -208,7 +207,7 @@ def _potentials(
         raise DomainError(
             f"point {np.ravel(z)[i]} lies inside a hole (folded |z0| = {np.ravel(r0)[i]:.6g})"
         )
-    zeta = z0 * k.inv_a  # cell units, as SeriesTables.rim_powers forms them
+    zeta = z0 * k.inv_a  # cell units
     z2 = zeta * zeta
     # the five columns as (shape of z) views (transpose is several times
     # cheaper than np.moveaxis here)
@@ -313,32 +312,31 @@ def total_displacement(
     return float(disp.real), float(disp.imag)
 
 
-def rim_defect(
+def rim_spectrum(
     prob: ProblemSpec, coeffs: PotentialCoefficients, tables: SeriesTables
 ) -> np.ndarray:
-    """Complex rim-traction defect of the assembled solution at the rim
-    points of `tables.rim_powers` (raw series, no fold); zero for an exact
-    solution, and real-linear in the load weights like the solution itself."""
-    load = prob.load
-    theta, t, rot = tables.rim_points
-    phi, psi, zphi_d = (tables.rim_powers @ coeffs.series)[:, :3].T
-    phi_d = zphi_d / t
-    return (
-        phi + np.conj(phi)
-        - (np.conj(t) * phi_d + psi) * rot
-        + load.sigma_plus
-        + load.sigma_minus * np.exp(2j * (theta - load.alpha))
-    )
+    """Fourier coefficients D_n, n = -T..T at index n + T, of the rim-traction
+    defect D(theta) = sum_n D_n e^(2i n theta) of the assembled solution;
+    zero for an exact one, real-linear in the load weights.  With S_p the
+    series row of exponent p times (lam/a)^(2p), and conj(t) e^(2i theta) = t
+    at t = lam e^(i theta): D_n = S_n(Phi) - S_n(t Phi') + conj(S_-n(Phi))
+    - S_(n-1)(Psi) + sigma_+ [n = 0] + sigma_- e^(-2i alpha) [n = 1]."""
+    load, p = prob.load, tables.powers
+    T = len(p) - tables.K
+    S = np.zeros((2 * T + 1, 3), dtype=complex)  # row n + T: S_n of (Phi, Psi, t Phi')
+    S[p + T] = coeffs.series[:, :3] * ((tables.lam / tables.sums.spec.a) ** (2.0 * p))[:, None]
+    spectrum = S[:, 0] - S[:, 2] + np.conj(S[::-1, 0])
+    spectrum[1:] -= S[:-1, 1]
+    spectrum[T : T + 2] += load.sigma_plus, load.minus_rotated[0]
+    return spectrum
 
 
 def boundary_residual(
     prob: ProblemSpec, coeffs: PotentialCoefficients, tables: SeriesTables
 ) -> float:
-    """Max rim-traction defect of the assembled solution over the rim grid.
-
-    A non-finite defect anywhere on the grid makes the result NaN.
-    """
-    return float(np.max(np.abs(rim_defect(prob, coeffs, tables))))
+    """Bound on the rim-traction defect of the assembled solution over the
+    whole rim, sum_n |D_n| of its `rim_spectrum`; NaN if a coefficient is."""
+    return float(np.sum(np.abs(rim_spectrum(prob, coeffs, tables))))
 
 
 def isolated_hole_reference(

@@ -30,7 +30,6 @@ from .lattice import LatticeSpec, LatticeSums, _periods
 from .solver import unit_load_coefficients
 
 __all__ = [
-    "ModuliSet",
     "HomogenizationData",
     "IsotropyReport",
     "homogenization_data",
@@ -44,44 +43,11 @@ __all__ = [
 _DEGENERATE_EPS = 1e-10
 
 
-def _check_nu(nu: float, name: str = "nu", hi: float = 1.0):
-    # conversions use the two-dimensional stability bound nu < 1: the bond
-    # ratio recovered from a large hole fraction can legitimately exceed the
-    # three-dimensional 0.5 limit that ModuliSet enforces for materials
-    if not -1.0 < nu < hi:
-        raise InvalidArgumentError(f"Poisson ratio {name} = {nu} outside (-1, {hi})")
-
-
-@dataclass(frozen=True)
-class ModuliSet:
-    """Bond moduli (E, nu) together with their effective counterparts."""
-
-    E: float
-    nu: float
-    E_eff: float
-    nu_eff: float
-
-    def __post_init__(self):
-        if not self.E > 0 or not self.E_eff > 0:
-            raise InvalidArgumentError("Young moduli must be positive")
-        _check_nu(self.nu, "nu", hi=0.5)
-        _check_nu(self.nu_eff, "nu_eff", hi=0.5)
-
-    @property
-    def G(self) -> float:
-        return self.E / (2.0 * (1.0 + self.nu))
-
-    @property
-    def kappa(self) -> float:
-        return (3.0 - self.nu) / (1.0 + self.nu)
-
-    @property
-    def kappa_plus(self) -> float:
-        return (1.0 + self.nu_eff) / self.E_eff
-
-    @property
-    def kappa_minus(self) -> float:
-        return (1.0 - self.nu_eff) / self.E_eff
+def _check_nu(nu: float, name: str = "nu"):
+    # the two-dimensional stability bound: a bond ratio recovered from a
+    # large hole fraction can legitimately exceed the three-dimensional 0.5
+    if not -1.0 < nu < 1.0:
+        raise InvalidArgumentError(f"Poisson ratio {name} = {nu} outside (-1, 1.0)")
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,10 @@ sigma_- sin 2alpha): the three `UNIT_LOADS` are solved once per tables
 
 Sign conventions that the source derivation leaves ambiguous (the
 b*delta_j1 coupling in the imaginary system and the index on the
-beta_{j+1} relation) are pinned by the boundary-residual arbiter in
-`fields`: the assembled solution must cancel the imposed rim traction
-to rounding accuracy, and does.
+beta_{j+1} relation) are pinned by the rim spectrum in `fields`: the
+assembled solution must cancel the imposed rim-traction modes -K+1..K
+to rounding accuracy, and does; with either convention flipped they
+stay at 2e-3 to 0.25 of the load (lam = a/5, K = 16).
 """
 
 from __future__ import annotations
@@ -52,8 +53,6 @@ __all__ = [
 _COND_LIMIT = 1e12
 # Rim-traction residual accepted from a converged solution, relative to load.
 _RESIDUAL_TOL = 1e-6
-# Equispaced rim points at which the arbiter (`fields.rim_defect`) checks a solution.
-_RIM_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -134,17 +133,13 @@ class SeriesTables:
 
     powers are the series rows' exponents p of zeta^(2p), zeta = z0/a.
 
-    Four load-independent parts are formed on first use and kept for
+    Two load-independent parts are formed on first use and kept for
     the life of the tables, shared by every solution on them:
     - systems: the real and imaginary system matrices and their largest
       condition number (singular tables raise NumericalError on every
       solve, as a raising cached_property stores nothing);
     - basis: the solutions of the three UNIT_LOADS, ungated (residual
-      NaN); a load's solution is its weights applied to them;
-    - rim_points: the _RIM_POINTS rim angles theta, t = lam e^(i theta)
-      and e^(2i theta);
-    - rim_powers: (zeta^2)^p at those points, zeta = t/a, the rim
-      arbiter's power matrix (~0.23 MB at T = 40, K = 16).
+      NaN); a load's solution is its weights applied to them.
     """
 
     sums: LatticeSums
@@ -221,16 +216,6 @@ class SeriesTables:
             for i in range(3)
         )
 
-    @cached_property
-    def rim_points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        theta = np.linspace(0.0, 2 * np.pi, _RIM_POINTS, endpoint=False)
-        return theta, self.lam * np.exp(1j * theta), np.exp(2j * theta)
-
-    @cached_property
-    def rim_powers(self) -> np.ndarray:
-        zeta = self.rim_points[1] * (1.0 / self.sums.spec.a)  # as fields._potentials forms it
-        return np.power.outer(zeta * zeta, self.powers)
-
 
 @dataclass(frozen=True, eq=False)
 class PotentialCoefficients:
@@ -258,7 +243,8 @@ def series_tables(sums: LatticeSums, lam: float, K: int) -> SeriesTables:
     """Scale the lattice's tables to hole radius lam; build the system matrices.
 
     Raises InvalidArgumentError unless 0 < lam < a/2, K >= 4 and
-    (lam/a)^(-2K), the smallest rim power of the arbiter, is a finite double."""
+    (lam/a)^(-2K), by which the rim arbiter scales the series' most
+    singular row, is a finite double."""
     a = sums.spec.a
     if not 0 < lam < a / 2:
         raise InvalidArgumentError(f"hole radius {lam} out of range (0, {a / 2})")
@@ -297,7 +283,7 @@ def solve_coefficients(prob: ProblemSpec, tables: SeriesTables) -> PotentialCoef
     """All potential coefficients of one load case: its weights applied to
     the unit-load basis of the tables, then gated on their rim traction
     (ConsistencyError unless within 1e-6 of the load scale; NaN fails).
-    A solution that overflows a double raises NumericalError."""
+    A solution or rim spectrum that overflows a double raises NumericalError."""
     if tables.K != prob.K or tables.lam != prob.lam:
         raise ConfigurationError("tables were built for a different (lam, K)")
     from . import fields  # deferred: fields depends on this module's types

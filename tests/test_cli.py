@@ -188,7 +188,7 @@ class TestConfig:
         assert not (out / "check.json").exists()
 
     def test_unrepresentable_rim_powers_rejected(self, tmp_path, capsys):
-        # the rim arbiter forms lambda^(-2K) = 0.01^(-200), beyond the largest double
+        # the rim arbiter scales by (lambda/a)^(-2K) = 0.01^(-200), beyond the largest double
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out = run(tmp_path, "solve", "a=1", "K=100", "lambda_ratio=0.01")
@@ -282,6 +282,20 @@ class TestExitContract:
                     assert np.isfinite(read_csv(csv)[1]).all(), csv.name
 
 
+class TestCsv:
+    def test_rows_are_the_g17_join(self, tmp_path):
+        # one %-format per row gives the bytes of a ".17g" join of each value
+        values = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1,
+                  1.0, -3.0, 2.0**53, 1e16, 1e17, 123456789012345680.0, 1 / 3, np.pi,
+                  2.2250738585072014e-308, -1e-300]
+        rows = [values[i : i + 4] for i in range(0, len(values), 4)]
+        rows += [np.array(row) for row in rows]  # numpy rows, as field.csv writes
+        path = tmp_path / "t.csv"
+        cli._write_csv(path, ["w", "x", "y", "z"], rows)
+        want = ["w,x,y,z"] + [",".join(format(float(v), ".17g") for v in row) for row in rows]
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+
+
 class TestSums:
     def test_artifacts_and_checks(self, tmp_path):
         code, out = run(tmp_path, "sums", "a=1")
@@ -363,7 +377,6 @@ class TestSolve:
 
     @pytest.mark.parametrize("args", [
         ("a=1", "sigma1=1e308", "sigma2=0"),  # a series row overflows
-        ("sigma1=1e308", "sigma2=1e307", "lambda_ratio=0.01"),  # the rim traction overflows
     ])
     def test_overflowing_solution_fails(self, tmp_path, args):
         # exit 3, not 4 with a NaN residual; no RuntimeWarning
@@ -373,6 +386,17 @@ class TestSolve:
         assert code == 3
         assert _strict_json(out / "check.json")["status"] == "precision-failure"
         assert not (out / "coeffs.json").exists()
+
+    def test_large_load_at_small_hole_solves(self, tmp_path):
+        # the solution and its rim spectrum are finite doubles
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(tmp_path, "solve", "sigma1=1e308", "sigma2=1e307", "lambda_ratio=0.01")
+        assert code == 0
+        doc = _strict_json(out / "check.json")
+        assert doc["status"] == "ok"
+        assert doc["checks"]["boundary_residual"] <= 1e-6 * 1e308
+        assert all(math.isfinite(x) for x in _numbers(_strict_json(out / "coeffs.json")))
 
     def test_non_finite_residual_fails_with_valid_json(self, tmp_path, monkeypatch):
         monkeypatch.setattr(fields, "boundary_residual", lambda *args, **kwargs: float("nan"))
@@ -505,7 +529,7 @@ class TestCut:
 
     @pytest.mark.parametrize("command", ["field", "sweep"])
     def test_nan_rim_defect_fails_closed(self, tmp_path, monkeypatch, command):
-        monkeypatch.setattr(cli, "rim_defect", lambda *args: np.full(256, complex("nan")))
+        monkeypatch.setattr(cli, "rim_spectrum", lambda *args: np.full(81, complex("nan")))
         code, out = run(tmp_path, command, "a=1", "n_alpha=3", "n_r=3")
         assert code == 4
         doc = _strict_json(out / "check.json")

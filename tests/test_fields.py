@@ -119,11 +119,11 @@ def _oracle_displacement(z, prob, coeffs, tables, nu):
     return np.real(disp), np.imag(disp)
 
 
-def _oracle_rim_defect(prob, coeffs, tables):
-    """The rim defect as each call formed it before the tables kept the
-    rim power matrix: a raw-series evaluation at 256 rim points."""
+def _oracle_rim_defect(prob, coeffs, tables, count=256):
+    """The rim defect sampled: a raw-series evaluation at count equispaced
+    rim points."""
     load = prob.load
-    theta = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
+    theta = np.linspace(0.0, 2 * np.pi, count, endpoint=False)
     t = prob.lam * np.exp(1j * theta)
     phi, phi_d, psi, _, _ = fields._potentials(t, coeffs, tables, fold=False)
     return (
@@ -250,10 +250,7 @@ class TestEvaluator:
             )
             worst = max(worst, abs(res))
         assert worst > 1e-6
-        assert fields.boundary_residual(prob, coeffs, tables) == pytest.approx(worst, rel=1e-12)
-        defect = fields.rim_defect(prob, coeffs, tables)
-        assert defect.shape == (256,)
-        assert np.max(np.abs(defect)) == fields.boundary_residual(prob, coeffs, tables)
+        assert worst <= fields.boundary_residual(prob, coeffs, tables) <= 1.01 * worst
 
     def test_non_finite_residual_is_nan(self, spec, tables):
         load = solver.LoadCase(2.0, 1.0, 0.0)
@@ -441,20 +438,73 @@ class TestPointKernel:
             one.sigma_x = 0.0
 
 
+def _rim_values(spectrum, count):
+    """The rim defect of a `rim_spectrum` at count equispaced rim angles."""
+    T = len(spectrum) // 2
+    theta = np.linspace(0.0, 2 * np.pi, count, endpoint=False)
+    return np.exp(2j * np.outer(theta, np.arange(-T, T + 1))) @ spectrum
+
+
 class TestRimPowers:
+    """The rim defect is a polynomial in e^(2i theta), and `rim_spectrum`
+    reads its coefficients off the collapsed series."""
+
+    _LOADS = (solver.LoadCase(2.0, -0.5, 0.7), solver.LoadCase(1.0, 1.0, 0.0),
+              solver.LoadCase(-1.0, 3.0, 2.9))
+
+    @staticmethod
+    def _tables(a, ratio, K):
+        spec = lattice.build_lattice(a, 1, 1)
+        sums = lattice.compute_lattice_sums(spec, s_max=40, shells=48)
+        return spec, solver.series_tables(sums, ratio * a, K)
+
     @pytest.mark.parametrize("a", [1.0, 246.0])
     @pytest.mark.parametrize("ratio, K", [(0.2, 16), (0.4, 16), (0.45, 38)])
     def test_rim_defect_matches_per_call_oracle(self, a, ratio, K):
-        spec = lattice.build_lattice(a, 1, 1)
-        sums = lattice.compute_lattice_sums(spec, s_max=40, shells=48)
-        tables = solver.series_tables(sums, ratio * a, K)
-        for load in (solver.LoadCase(2.0, -0.5, 0.7), solver.LoadCase(1.0, 1.0, 0.0)):
+        spec, tables = self._tables(a, ratio, K)
+        for load in self._LOADS:
             prob = solver.ProblemSpec(spec, ratio * a, load, K)
             coeffs = _per_load_oracle(prob, tables)
-            got = fields.rim_defect(prob, coeffs, tables)
+            got = _rim_values(fields.rim_spectrum(prob, coeffs, tables), 256)
             ref = _oracle_rim_defect(prob, coeffs, tables)
-            assert got.tobytes() == ref.tobytes()
-        assert tables.rim_powers is tables.rim_powers
+            assert np.max(np.abs(got - ref)) <= 1e-12 * max(abs(load.sigma1), abs(load.sigma2))
+
+    @pytest.mark.parametrize("a", [1.0, 246.0])
+    @pytest.mark.parametrize("ratio, K, tight", [
+        (0.2, 16, False), (0.4, 16, False), (0.45, 38, False),
+        # under-resolved: the defect is far above rounding, and the bound
+        # lies within 1% of its true maximum
+        (0.45, 4, True), (0.4, 8, True), (0.3, 4, True),
+    ])
+    def test_sum_bounds_the_whole_rim(self, a, ratio, K, tight):
+        spec, tables = self._tables(a, ratio, K)
+        for load in self._LOADS:
+            prob = solver.ProblemSpec(spec, ratio * a, load, K)
+            coeffs = _per_load_oracle(prob, tables)
+            bound = fields.boundary_residual(prob, coeffs, tables)
+            dense = np.max(np.abs(_rim_values(fields.rim_spectrum(prob, coeffs, tables), 8192)))
+            assert bound >= dense - 1e-15 * max(abs(load.sigma1), abs(load.sigma2))
+            # not for the pure sigma_+ load: its small defect (0.057 at 0.45a,
+            # K = 4) spreads over modes of unlike phase, and the bound reads
+            # 1.035 x its maximum there
+            if tight and load.sigma_minus:
+                assert dense > 1e-6 and bound <= 1.01 * dense
+
+    @pytest.mark.parametrize("a", [1.0, 246.0])
+    @pytest.mark.parametrize("ratio, K", [(0.4, 16), (0.35, 12)])
+    def test_truncation_sits_outside_the_imposed_modes(self, a, ratio, K):
+        # the solve imposes the modes -K+1..K; what it leaves is K truncation,
+        # led by the first mode below them
+        spec, tables = self._tables(a, ratio, K)
+        load = solver.LoadCase(2.0, 1.0, 0.0)
+        prob = solver.ProblemSpec(spec, ratio * a, load, K)
+        spectrum = fields.rim_spectrum(prob, solver.solve_coefficients(prob, tables), tables)
+        T = len(spectrum) // 2
+        n = np.arange(-T, T + 1)
+        imposed = (-K + 1 <= n) & (n <= K)
+        assert np.max(np.abs(spectrum[imposed])) <= 1e-12 * load.sigma1
+        assert n[np.argmax(np.abs(spectrum))] == -K
+        assert np.abs(spectrum[T - K]) > 1e-7 * load.sigma1
 
 
 class TestScalarPath:

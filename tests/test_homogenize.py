@@ -16,21 +16,6 @@ def data(spec, sums):
     return homogenize.homogenization_data(spec, 0.2, sums=sums)
 
 
-class TestModuliSet:
-    def test_derived_quantities(self):
-        m = homogenize.ModuliSet(E=2.0, nu=0.25, E_eff=1.5, nu_eff=0.3)
-        assert m.G == pytest.approx(0.8)
-        assert m.kappa == pytest.approx(2.2)
-        assert m.kappa_plus == pytest.approx(1.3 / 1.5)
-        assert m.kappa_minus == pytest.approx(0.7 / 1.5)
-
-    def test_validation(self):
-        with pytest.raises(errors.InvalidArgumentError):
-            homogenize.ModuliSet(E=-1.0, nu=0.3, E_eff=1.0, nu_eff=0.3)
-        with pytest.raises(errors.InvalidArgumentError):
-            homogenize.ModuliSet(E=1.0, nu=0.6, E_eff=1.0, nu_eff=0.3)
-
-
 class TestConversions:
     def test_round_trip(self, data):
         E, nu = homogenize.bond_from_effective(1.0, 0.3, data)

@@ -327,13 +327,35 @@ class TestSolution:
     @pytest.mark.parametrize("lam, K, load", [
         (0.45, 38, (1e308, 0.0, 0.0)),  # alpha and beta overflow
         (0.2, 16, (1e307, 0.0, 0.0)),  # only a row of the collapsed series overflows
-        (0.01, 16, (1e308, 1e307, 0.0)),  # a finite solution whose rim traction overflows
     ])
     def test_overflowing_solution_is_numerical_error(self, spec, sums, lam, K, load):
         # not a NaN residual (ConsistencyError), and no RuntimeWarning
         prob = solver.ProblemSpec(spec, lam, solver.LoadCase(*load), K)
         with pytest.raises(errors.NumericalError, match="overflows"):
             solver.solve_coefficients(prob, solver.series_tables(sums, lam, K))
+
+    def test_large_load_at_small_hole_solves(self, spec, sums):
+        # the solution is finite, and so is every mode of its rim spectrum
+        load = solver.LoadCase(1e308, 1e307, 0.0)
+        prob = solver.ProblemSpec(spec, 0.01, load, 16)
+        coeffs = solver.solve_coefficients(prob, solver.series_tables(sums, 0.01, 16))
+        assert np.isfinite(coeffs.series).all()
+        assert coeffs.residual <= 1e-6 * load.sigma1
+
+    def test_overflowing_rim_spectrum_is_numerical_error(self, spec, tables):
+        # a finite solution whose rim spectrum overflows as the series row of
+        # zeta^-2 is scaled by (lam/a)^-2: not a ConsistencyError with an
+        # infinite residual
+        fresh = dataclasses.replace(tables)
+        series = tables.basis[0].series.copy()
+        series[list(tables.powers).index(-1), 0] = 1e308
+        basis = (dataclasses.replace(tables.basis[0], series=series), *tables.basis[1:])
+        fresh.__dict__["basis"] = basis
+        prob = solver.ProblemSpec(spec, 0.2, solver.UNIT_LOADS[0], 16)
+        with pytest.raises(errors.NumericalError, match="overflows"):
+            solver.solve_coefficients(prob, fresh)
+        with np.errstate(over="ignore"):
+            assert fields.boundary_residual(prob, basis[0], fresh) == np.inf
 
     def test_linear_algebra_breakdown_is_numerical_error(self, spec, tables):
         # a NaN system entry makes numpy's SVD fail to converge
@@ -363,18 +385,18 @@ class TestSolution:
         assert ca.alpha0 + cb.alpha0 == pytest.approx(cs.alpha0, abs=1e-14)
 
     def test_unit_loads_superpose(self, spec, sums):
-        # under-resolved (K = 4, lam = 0.45), so the rim defect is far above
+        # under-resolved (K = 4, lam = 0.45), so the rim spectrum is far above
         # rounding and its superposition is tested, not just its smallness
         lam, K = 0.45, 4
         tables = solver.series_tables(sums, lam, K)
         units = [
-            (u, fields.rim_defect(solver.ProblemSpec(spec, lam, load, K), u, tables))
+            (u, fields.rim_spectrum(solver.ProblemSpec(spec, lam, load, K), u, tables))
             for load, u in zip(solver.UNIT_LOADS, tables.basis)
         ]
         for load in (solver.LoadCase(2.0, -0.5, 0.7), solver.LoadCase(-1.0, 3.0, 2.9)):
             prob = solver.ProblemSpec(spec, lam, load, K)
             coeffs = _per_load_oracle(prob, tables)
-            defect = fields.rim_defect(prob, coeffs, tables)
+            defect = fields.rim_spectrum(prob, coeffs, tables)
             w = load.weights
             for name, got in _combine(w, [u for u, _ in units]).items():
                 want = getattr(coeffs, name)

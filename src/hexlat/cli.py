@@ -30,12 +30,10 @@ from .errors import (
     NumericalError,
     PrecisionError,
 )
-from .fields import cell_boundary_radius, rim_spectrum, total_displacement, total_stress
+from .fields import cell_boundary_radius, total_displacement, total_stress
 from .homogenize import bond_from_effective, effective_from_bond, homogenization_data, isotropy_check
 from .lattice import _MAX_ORDER, build_lattice, compute_lattice_sums, lattice_from_alpha
-from .solver import (
-    UNIT_LOADS, LoadCase, ProblemSpec, gate_residual, series_tables, solve_coefficients,
-)
+from .solver import LoadCase, ProblemSpec, series_tables, solve_coefficients
 from .svg import Series, line_plot
 
 __all__ = ["main"]
@@ -273,43 +271,30 @@ def _cut(cfg: dict, out: Path, spec, lam: float, theta: float, radii, angles):
     """Write field.csv of the cut at theta: the radii, for every load angle.
     Returns the values[load, radius, column] written and their checks.
 
-    Fields and rim spectrum are real-linear in the load weights, so each
-    point is evaluated once per unit-load solution of `tables.basis`, and
-    each load's values are their weighted sum.  One product gates every
-    load on its own whole-rim bound sum_n |sum_i w_i D_in| (D_i: unit
-    load i's rim spectrum), as solve_coefficients gates one load.  The
-    unit loads are not gated: at their unit scale they may miss a gate
-    that a superposed load meets.
+    Each load takes its coefficients from `solve_coefficients` on the
+    run's one tables, as `solve` does: superposed on the shared unit-load
+    basis and gated on the load's own whole-rim bound.
     """
     if cfg["nu_eff"] is not None:
         raise ConfigurationError("field displacements take the bond Poisson ratio nu, not nu_eff")
     nu = 0.2668 if cfg["nu"] is None else cfg["nu"]
     tables = series_tables(_lattice_sums(cfg, spec), lam, cfg["K"])
-    spectra, units = [], []
-    for unit, coeffs in zip(UNIT_LOADS, tables.basis):
-        prob = ProblemSpec(spec, lam, unit, cfg["K"])
-        spectra.append(rim_spectrum(prob, coeffs, tables))
+    rows, worst = [], 0.0
+    for ang in angles:
+        load = LoadCase(cfg["sigma1"], cfg["sigma2"], float(ang))
+        prob = ProblemSpec(spec, lam, load, cfg["K"])
+        coeffs = solve_coefficients(prob, tables)
+        worst = max(worst, coeffs.residual)
         for r in radii:
             f = total_stress(r, theta, prob, coeffs, tables)
-            units += [f.sigma_r, f.tau_rtheta, f.sigma_theta, f.sigma_x, f.sigma_y, f.tau_xy]
-            units += total_displacement(f.z, prob, coeffs, tables, nu)
-    loads = [LoadCase(cfg["sigma1"], cfg["sigma2"], ang) for ang in angles]
-    weights = np.array([load.weights for load in loads])
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        residuals = np.sum(np.abs(weights @ np.array(spectra)), axis=1)
-        superposed = weights @ np.reshape(units, (3, -1))
-    worst = max(gate_residual(float(res), load) for load, res in zip(loads, residuals))
-    if not np.isfinite(superposed).all():
+            rows.append([r, theta, ang, f.sigma_r, f.tau_rtheta, f.sigma_theta, f.sigma_x,
+                         f.sigma_y, f.tau_xy, *total_displacement(f.z, prob, coeffs, tables, nu)])
+    values = np.array(rows)
+    if not np.isfinite(values).all():
         raise NumericalError("a field value of the loads overflows: it is not a finite double")
-    values = np.empty((len(angles), len(radii), len(_FIELD_HEADER)))
-    values[..., 0] = radii
-    values[..., 1] = theta
-    values[..., 2] = np.reshape(angles, (-1, 1))
-    values[..., 3:] = superposed.reshape(len(angles), len(radii), -1)
-    rows = values.reshape(-1, len(_FIELD_HEADER))
-    _write_csv(out / "field.csv", _FIELD_HEADER, rows)
+    _write_csv(out / "field.csv", _FIELD_HEADER, values)
     checks = {"boundary_residual": worst, "condition": coeffs.condition, "n_points": len(rows)}
-    return values, checks
+    return values.reshape(len(angles), len(radii), -1), checks
 
 
 def cmd_field(cfg: dict, out: Path) -> None:

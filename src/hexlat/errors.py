@@ -49,8 +49,9 @@ class NumericalError(HexlatError):
 
 
 class ConsistencyError(HexlatError):
-    """A solution failed an internal cross-check (boundary residual,
-    isotropy, round-trip).  ``residual`` carries the offending value."""
+    """A solution failed an internal cross-check: the rim gate on its
+    boundary residual, or the unit loads' structural zeros.  ``residual``
+    carries the rim gate's offending value."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

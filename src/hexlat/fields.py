@@ -24,8 +24,9 @@ arithmetic is formed once and kept:
   periods, 1/a, lam^2, the cyclic constants, alpha0/beta0/alpha1/beta1
   as Python complex, the complex series exponents and the transposed
   series matrix.  One kernel is kept, for the last pair evaluated, until
-  a call names another pair; with it the potentials of the last point,
-  so a point's stress and displacement share one fold and one product;
+  a call names another pair; with it the potentials of the last point
+  object, so a displacement at a stress sample's own z shares its fold
+  and product;
 - per lattice, the cell frame of the fold (`LatticeSpec.cell_frame`);
 - per load, sigma_+, sigma_- and sigma_- e^(-+2i alpha) (`LoadCase`).
 """
@@ -58,9 +59,6 @@ __all__ = [
 
 # The point kernel of the last (coeffs, tables) pair a point was evaluated on.
 _kernel = None
-# The one NaN that every FieldSample without displacements holds: NaN != NaN
-# and hash(NaN) is its id, so equal samples must share the object.
-_NAN = float("nan")
 
 
 class _PointKernel:
@@ -111,11 +109,10 @@ class _PointKernel:
 
     def point(self, z: complex, fold: bool) -> tuple:
         """(Phi, Phi', Psi, phi, psi) at the Python complex z, as Python
-        complex; the last point's result again if z (sign of zero too) and
-        fold match it."""
+        complex; the last point's result again if z is its z and fold
+        matches."""
         last = self.last
-        # a zero part's sign can reach the results and == ignores it; repr does not
-        if z == last[0] and fold == last[1] and (z.real and z.imag or repr(last[0]) == repr(z)):
+        if z is last[0] and fold == last[1]:
             return last[2]
         # the fields module's name, so that a wrapper set on it sees every fold
         z0, m, n = fold_point(z, self.spec) if fold else (z, 0, 0)
@@ -131,7 +128,7 @@ class _PointKernel:
 
 @dataclass(frozen=True)
 class FieldSample:
-    """Stresses (and optionally 2G-scaled displacements) at one point."""
+    """Stresses at one point."""
 
     r: float
     theta: float
@@ -142,8 +139,6 @@ class FieldSample:
     sigma_x: float
     sigma_y: float
     tau_xy: float
-    u2G: float = _NAN
-    v2G: float = _NAN
 
 
 def cell_boundary_radius(theta: float, a: float) -> float:
@@ -190,7 +185,7 @@ def _potentials(
 
     The constants of the (coeffs, tables) pair come from its point
     kernel, kept until a call names another pair.  A scalar z reuses the
-    kernel's last result if z (sign of zero too) and fold match; arrays
+    kernel's last result if z is that result's z and fold matches; arrays
     and points inside a hole are never kept.
     """
     global _kernel
@@ -273,13 +268,13 @@ def total_stress(
     dev = z.conjugate() * phi_d + (psi - load.minus_rotated[0])
     pol = trace / 2 - dev * rot  # sigma_r - i tau_rtheta
     sigma_r = pol.real
-    # one __dict__ in place of the frozen __init__'s eleven object.__setattr__
+    # one __dict__ in place of the frozen __init__'s nine object.__setattr__
     sample = object.__new__(FieldSample)
     object.__setattr__(sample, "__dict__", {
         "r": r, "theta": theta, "z": z,
         "sigma_r": sigma_r, "tau_rtheta": -pol.imag, "sigma_theta": trace - sigma_r,
         "sigma_x": trace / 2 - dev.real, "sigma_y": trace / 2 + dev.real,
-        "tau_xy": dev.imag, "u2G": _NAN, "v2G": _NAN,
+        "tau_xy": dev.imag,
     })
     return sample
 

@@ -482,7 +482,8 @@ def _per_load_cut(args, rows):
 
 
 class TestCut:
-    """`field` and `sweep` superpose three unit-load solutions."""
+    """`field` and `sweep` solve each load with `solve_coefficients` on one
+    unit-load basis per run."""
 
     @pytest.mark.parametrize("args", [
         ("field", "alphas=0.1"),
@@ -490,17 +491,21 @@ class TestCut:
         ("field", "a=1", "alphas=0,0.3,1.1,2.9,0.7853981633974483", "n_r=6"),
     ])
     def test_three_solves(self, tmp_path, monkeypatch, args):
-        # the three unit-load solutions come from one basis per run, whatever
-        # alphas/n_alpha holds, and no load is solved on its own
+        # one basis per run, whatever alphas/n_alpha holds, and one gated
+        # solve_coefficients per load on it
         built, solved = [], []
         basis = solver.SeriesTables.basis
         counting = functools.cached_property(lambda tables: built.append(tables) or basis.func(tables))
         counting.__set_name__(solver.SeriesTables, "basis")
         monkeypatch.setattr(solver.SeriesTables, "basis", counting)
-        monkeypatch.setattr(cli, "solve_coefficients", lambda *a: solved.append(a))
+        solve = cli.solve_coefficients
+        monkeypatch.setattr(cli, "solve_coefficients", lambda *a: solved.append(a) or solve(*a))
         code, _ = run(tmp_path, *args)
         assert code == 0
-        assert len(built) == 1 and solved == []
+        cfg = load_config(None, list(args[1:]))
+        loads = len(cfg["alphas"].split(",")) if args[0] == "field" else cfg["n_alpha"]
+        assert len(built) == 1 and len(solved) == loads
+        assert all(tables is built[0] for _, tables in solved)
 
     @pytest.mark.parametrize("args", [
         ("field", "a=1", "alphas=0,0.3,1.1,2.9,-0.4", "n_r=6"),
@@ -529,7 +534,8 @@ class TestCut:
 
     @pytest.mark.parametrize("command", ["field", "sweep"])
     def test_nan_rim_defect_fails_closed(self, tmp_path, monkeypatch, command):
-        monkeypatch.setattr(cli, "rim_spectrum", lambda *args: np.full(81, complex("nan")))
+        # the name fields.boundary_residual reads
+        monkeypatch.setattr(fields, "rim_spectrum", lambda *args: np.full(81, complex("nan")))
         code, out = run(tmp_path, command, "a=1", "n_alpha=3", "n_r=3")
         assert code == 4
         doc = _strict_json(out / "check.json")
@@ -557,6 +563,37 @@ class TestCut:
         doc = _strict_json(out / "check.json")
         assert doc["status"] == "precision-failure" and "overflows" in doc["message"]
         assert not (out / "field.csv").exists()
+
+    @pytest.mark.parametrize("command", ["field", "sweep"])
+    def test_overflowing_field_values_fail(self, tmp_path, command):
+        # the loads solve to finite coefficients, as `solve` shows, but
+        # 2G u ~ load * a overflows at a = 1e7: only _cut's own check sees it
+        args = ("a=1e7", "s_max=18", "sigma1=1e302", "sigma2=1e302", "n_alpha=3", "n_r=3")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(tmp_path / "solve", "solve", *args)[0] == 0
+            code, out = run(tmp_path, command, *args)
+        assert code == 3
+        doc = _strict_json(out / "check.json")
+        assert doc["status"] == "precision-failure"
+        assert doc["message"] == "a field value of the loads overflows: it is not a finite double"
+        assert sorted(p.name for p in out.iterdir()) == ["check.json"]
+
+    @pytest.mark.parametrize("command, args", [
+        ("solve", ()), ("field", ()), ("sweep", ("r_factors=1,1.1", "n_alpha=3")),
+    ], ids=["solve", "field", "sweep"])
+    def test_overflowing_solution_fails_as_solve_does(self, tmp_path, capsys, command, args):
+        # the load's own coefficients overflow: every command exits 3 with
+        # solve's message, before any rim gate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(tmp_path, command, "a=1", "lambda_ratio=0.45", "K=4", "sigma1=1e306",
+                            "sigma2=0", "n_r=3", *args)
+        assert code == 3
+        assert "overflows a double" in capsys.readouterr().err
+        doc = _strict_json(out / "check.json")
+        assert doc["status"] == "precision-failure" and "overflows a double" in doc["message"]
+        assert sorted(p.name for p in out.iterdir()) == ["check.json"]
 
     @pytest.mark.parametrize("command", ["field", "sweep"])
     def test_nu_eff_rejected(self, tmp_path, capsys, command):

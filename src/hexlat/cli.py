@@ -6,13 +6,16 @@ arguments override file entries.  Every run writes its data artifact
 and condition numbers, so a pipeline can gate on numerical health
 without re-parsing the data files.
 
-Exit codes: 0 ok, 2 configuration error, 3 precision/convergence
-failure, 4 consistency (residual-arbiter) failure.
+Exit codes: 0 ok, else the one that the error's class states (see
+`errors`).  `main` alone turns an outcome into the exit code and writes
+check.json: an ok run's, or a precision/consistency failure's report with
+its config.  An unusable config file, output directory or artifact exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -21,15 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (
-    ConfigurationError,
-    ConsistencyError,
-    DomainError,
-    HexlatError,
-    InvalidArgumentError,
-    NumericalError,
-    PrecisionError,
-)
+from .errors import ConfigurationError, HexlatError, NumericalError
 from .fields import cell_boundary_radius, total_displacement, total_stress
 from .homogenize import bond_from_effective, effective_from_bond, homogenization_data, isotropy_check
 from .lattice import _MAX_ORDER, build_lattice, compute_lattice_sums, lattice_from_alpha
@@ -98,7 +93,11 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         p = Path(path)
         if not p.is_file():
             raise ConfigurationError(f"config file not found: {path}")
-        for i, line in enumerate(p.read_text().splitlines(), 1):
+        try:
+            text = p.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"config file {path} is not UTF-8 text: {exc}") from None
+        for i, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -177,14 +176,15 @@ def _write_csv(path: Path, header: list[str], rows: list[list[float]]):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_check(out: Path, command: str, cfg: dict, checks: dict):
+def _write_check(out: Path, command: str, cfg: dict, **fields):
+    """check.json: the run's identity and resolved config, plus `fields`
+    (an ok run's status and checks, or a failure's status and cause)."""
     doc = {
         "schema": _CHECK_SCHEMA,
         "version": __version__,
         "command": command,
         "config": {k: v for k, v in sorted(cfg.items()) if v is not None},
-        "checks": checks,
-        "status": "ok",
+        **fields,
     }
     (out / "check.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -211,7 +211,7 @@ def _sums_checks(sums) -> dict:
     }
 
 
-def cmd_sums(cfg: dict, out: Path) -> None:
+def cmd_sums(cfg: dict, out: Path) -> dict:
     spec, _ = _resolve_geometry(cfg)
     sums = compute_lattice_sums(spec, s_max=cfg["s_max"], shells=cfg["shells"])
     rows = [[float(s), sums.c[s], sums.d[s]] for s in range(2, sums.s_max + 1)]
@@ -226,7 +226,7 @@ def cmd_sums(cfg: dict, out: Path) -> None:
             "g3": float(sums.g3),
         }
     )
-    _write_check(out, "sums", cfg, checks)
+    return checks
 
 
 def _lattice_sums(cfg: dict, spec):
@@ -234,7 +234,7 @@ def _lattice_sums(cfg: dict, spec):
     return compute_lattice_sums(spec, s_max=max(cfg["s_max"], cfg["K"] + 2), shells=cfg["shells"])
 
 
-def cmd_solve(cfg: dict, out: Path) -> None:
+def cmd_solve(cfg: dict, out: Path) -> dict:
     spec, lam = _resolve_geometry(cfg)
     sums = _lattice_sums(cfg, spec)
     tables = series_tables(sums, lam, cfg["K"])
@@ -254,13 +254,12 @@ def cmd_solve(cfg: dict, out: Path) -> None:
         "beta_k": [[v.real, v.imag] for v in coeffs.beta],
     }
     (out / "coeffs.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    checks = {
+    return {
         "boundary_residual": coeffs.residual,
         "condition": coeffs.condition,
         "b": tables.b,
         "tail": float(sums.tail),
     }
-    _write_check(out, "solve", cfg, checks)
 
 
 _FIELD_HEADER = ["r", "theta", "alpha", "sigma_r", "tau_rtheta", "sigma_theta",
@@ -297,7 +296,7 @@ def _cut(cfg: dict, out: Path, spec, lam: float, theta: float, radii, angles):
     return values.reshape(len(angles), len(radii), -1), checks
 
 
-def cmd_field(cfg: dict, out: Path) -> None:
+def cmd_field(cfg: dict, out: Path) -> dict:
     spec, lam = _resolve_geometry(cfg)
     theta = cfg["theta"]
     alphas = _float_list(cfg["alphas"], "alphas")
@@ -310,10 +309,10 @@ def cmd_field(cfg: dict, out: Path) -> None:
     (out / "fig2.svg").write_text(
         line_plot(curves, title="rim-to-boundary stresses", xlabel="r", ylabel="stress")
     )
-    _write_check(out, "field", cfg, checks)
+    return checks
 
 
-def cmd_sweep(cfg: dict, out: Path) -> None:
+def cmd_sweep(cfg: dict, out: Path) -> dict:
     spec, lam = _resolve_geometry(cfg)
     theta = cfg["sweep_theta"]
     radii = [f * lam for f in _float_list(cfg["r_factors"], "r_factors")]
@@ -337,10 +336,10 @@ def cmd_sweep(cfg: dict, out: Path) -> None:
         line_plot(disp_curves, title="displacements vs load angle", xlabel="alpha",
                   ylabel="2G displacement")
     )
-    _write_check(out, "sweep", cfg, checks)
+    return checks
 
 
-def cmd_moduli(cfg: dict, out: Path) -> None:
+def cmd_moduli(cfg: dict, out: Path) -> dict:
     spec, _ = _resolve_geometry(cfg)
     # direction -> the conversion, its inverse, the Poisson key it takes and
     # the one it refuses, and its figure with the curves' labels and title;
@@ -391,10 +390,7 @@ def cmd_moduli(cfg: dict, out: Path) -> None:
         Series(tuple(lams), tuple(nu for _, nu in outs), label=other),
     ]
     (out / fig).write_text(line_plot(curves, title=title, xlabel="lambda", ylabel="value"))
-    _write_check(
-        out, "moduli", cfg,
-        {"round_trip_error": worst_rt, "isotropy_worst": worst_iso, "n_rows": len(rows)},
-    )
+    return {"round_trip_error": worst_rt, "isotropy_worst": worst_iso, "n_rows": len(rows)}
 
 
 _COMMANDS = {
@@ -424,44 +420,23 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, list(args.overrides))
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](cfg, out)
-    except (ConfigurationError, InvalidArgumentError, DomainError) as exc:
+        checks = _COMMANDS[args.command](cfg, out)
+        _write_check(out, args.command, cfg, status="ok", checks=checks)
+    except HexlatError as exc:
+        failed = exc.exit_code != 2  # precision or consistency: the run is reported
+        print(f"hexlat: {exc.kind} {'failure' if failed else 'error'}: {exc}", file=sys.stderr)
+        if failed:
+            # NaN and infinities are not JSON: report them as null
+            numbers = {key: getattr(exc, key, None) for key in ("tail", "condition", "residual")}
+            with contextlib.suppress(OSError):  # best effort: the exit code is the report
+                _write_check(out, args.command, cfg, status=exc.kind + "-failure", message=str(exc),
+                             **{k: float(v) if math.isfinite(v) else None
+                                for k, v in numbers.items() if v is not None})
+        return exc.exit_code
+    except OSError as exc:  # the config file, output directory or an artifact path
         print(f"hexlat: configuration error: {exc}", file=sys.stderr)
         return 2
-    except (PrecisionError, NumericalError) as exc:
-        print(f"hexlat: precision failure: {exc}", file=sys.stderr)
-        _write_failure(args, exc, kind="precision")
-        return 3
-    except ConsistencyError as exc:
-        print(f"hexlat: consistency failure: {exc}", file=sys.stderr)
-        _write_failure(args, exc, kind="consistency")
-        return 4
-    except HexlatError as exc:  # any future subtype defaults to config
-        print(f"hexlat: error: {exc}", file=sys.stderr)
-        return 2
     return 0
-
-
-def _write_failure(args, exc, kind: str):
-    """Best-effort failure report so pipelines can inspect the cause."""
-    try:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        doc = {
-            "schema": _CHECK_SCHEMA,
-            "version": __version__,
-            "command": args.command,
-            "status": kind + "-failure",
-            "message": str(exc),
-        }
-        for key in ("tail", "condition", "residual"):
-            value = getattr(exc, key, None)
-            if value is not None:
-                # NaN and infinities are not JSON: report them as null
-                doc[key] = float(value) if np.isfinite(value) else None
-        (out / "check.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    except OSError:
-        pass
 
 
 if __name__ == "__main__":

@@ -1,13 +1,18 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these onto process exit codes: configuration problems -> 2,
-precision/convergence problems -> 3, consistency (residual-arbiter)
-problems -> 4.
+Each class states the process exit code the CLI returns for it and the
+word its message and report use: configuration problems -> 2 (the base,
+so a class that states nothing is one), precision/convergence problems
+-> 3, consistency (residual-arbiter) problems -> 4.  Only a 3 or 4 writes
+a failure check.json.
 """
 
 
 class HexlatError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 2
+    kind = "configuration"
 
 
 class InvalidArgumentError(HexlatError, ValueError):
@@ -33,6 +38,9 @@ class PrecisionError(HexlatError):
     The offending tail estimate is carried in ``tail``.
     """
 
+    exit_code = 3
+    kind = "precision"
+
     def __init__(self, message, tail=None):
         super().__init__(message)
         self.tail = tail
@@ -43,6 +51,9 @@ class NumericalError(HexlatError):
     truncated system), or a result that overflows a double.  ``condition``
     carries the condition estimate."""
 
+    exit_code = 3
+    kind = "precision"
+
     def __init__(self, message, condition=None):
         super().__init__(message)
         self.condition = condition
@@ -52,6 +63,9 @@ class ConsistencyError(HexlatError):
     """A solution failed an internal cross-check: the rim gate on its
     boundary residual, or the unit loads' structural zeros.  ``residual``
     carries the rim gate's offending value."""
+
+    exit_code = 4
+    kind = "consistency"
 
     def __init__(self, message, residual=None):
         super().__init__(message)

@@ -1,5 +1,6 @@
 """CLI: artifacts, exit codes, determinism, and figure-level trends."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hexlat import cli, fields, lattice, solver
+from hexlat import __version__, cli, errors, fields, lattice, solver
 from hexlat.cli import load_config, main
 from test_solver import _per_load_oracle
 
@@ -280,6 +281,81 @@ class TestExitContract:
                     assert all(math.isfinite(x) for x in _numbers(_strict_json(out / "coeffs.json")))
                 for csv in out.glob("*.csv"):
                     assert np.isfinite(read_csv(csv)[1]).all(), csv.name
+
+
+class _Unstated(errors.HexlatError):
+    """A new error class that states no exit code of its own."""
+
+
+# (error, exit code, stderr word, the report's number key and value)
+_EXITS = [
+    (errors.ConfigurationError("cause"), 2, "configuration error", None),
+    (errors.InvalidArgumentError("cause"), 2, "configuration error", None),
+    (errors.DomainError("cause"), 2, "configuration error", None),
+    (errors.PoleError("cause"), 2, "configuration error", None),
+    (_Unstated("cause"), 2, "configuration error", None),
+    (errors.PrecisionError("cause", tail=1.5e-3), 3, "precision failure", ("tail", 1.5e-3)),
+    (errors.NumericalError("cause", condition=float("nan")), 3, "precision failure",
+     ("condition", None)),
+    (errors.ConsistencyError("cause", residual=2.5), 4, "consistency failure", ("residual", 2.5)),
+]
+
+
+class TestExitPath:
+    """`main` turns every outcome into an exit code, and writes check.json
+    for an ok run or a precision/consistency failure only."""
+
+    @pytest.mark.parametrize("case", ["out_is_file", "out_under_file", "artifact_is_dir",
+                                      "config_not_utf8"])
+    def test_unusable_path_exits_2(self, tmp_path, capsys, case):
+        # each of these ended in a traceback with exit 1
+        (tmp_path / "F").write_text("")
+        (tmp_path / "D" / "sums.csv").mkdir(parents=True)
+        (tmp_path / "C").write_bytes(b"a = 1\n\xff\n")
+        args = {
+            "out_is_file": ["--out", str(tmp_path / "F")],
+            "out_under_file": ["--out", str(tmp_path / "F" / "sub")],
+            "artifact_is_dir": ["--out", str(tmp_path / "D")],
+            "config_not_utf8": ["--config", str(tmp_path / "C"), "--out", str(tmp_path / "out")],
+        }[case]
+        assert main(["sums", *args]) == 2
+        assert capsys.readouterr().err.startswith("hexlat: configuration error: ")
+        assert not list(tmp_path.rglob("check.json"))
+
+    @pytest.mark.parametrize("error, code, word, number", _EXITS,
+                             ids=[type(error).__name__ for error, *_ in _EXITS])
+    def test_each_error_class_states_its_exit(self, tmp_path, capsys, monkeypatch, error, code,
+                                              word, number):
+        args = ("solve", "a=1", "K=8")
+        ok, ok_out = run(tmp_path / "ok", *args)
+        assert ok == 0
+        config = _strict_json(ok_out / "check.json")["config"]
+
+        def failing(cfg, out):
+            raise error
+
+        monkeypatch.setitem(cli._COMMANDS, "solve", failing)
+        got, out = run(tmp_path, *args)
+        assert got == code
+        assert capsys.readouterr().err == f"hexlat: {word}: cause\n"
+        if code == 2:
+            assert not (out / "check.json").exists()
+        else:
+            key, value = number
+            assert _strict_json(out / "check.json") == {
+                "schema": "hexlat-check/1", "version": __version__, "command": "solve",
+                "config": config, "status": word.replace(" ", "-"), "message": "cause",
+                key: value,
+            }
+
+    def test_unwritable_failure_report_still_exits_3(self, tmp_path, capsys):
+        # shells=2 fails the lattice sums' tail monitor; check.json names a directory
+        out = tmp_path / "out"
+        (out / "check.json").mkdir(parents=True)
+        assert main(["solve", "shells=2", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("hexlat: precision failure: ")
+        assert [p.name for p in out.iterdir()] == ["check.json"]
+        assert not list((out / "check.json").iterdir())
 
 
 class TestCsv:
@@ -676,6 +752,32 @@ class TestModuli:
                       "n_lambda=5")
         assert code == 0
         assert len(built) == 1
+
+    def test_missed_structural_zero_exits_4(self, tmp_path, monkeypatch, spec, sums):
+        # alpha_1 of the sigma_+ unit solution moves off zero while its
+        # series stays, so the rim gate passes and only the zero check fails
+        basis = solver.SeriesTables.basis
+
+        def missed_zero(tables):
+            plus, *rest = basis.func(tables)
+            alpha = plus.alpha.copy()
+            alpha[0] = 1e-8
+            return (dataclasses.replace(plus, alpha=alpha), *rest)
+
+        wrapped = functools.cached_property(missed_zero)
+        wrapped.__set_name__(solver.SeriesTables, "basis")
+        monkeypatch.setattr(solver.SeriesTables, "basis", wrapped)
+        with pytest.raises(errors.ConsistencyError, match="structural zeros"):
+            solver.unit_load_coefficients(spec, 0.2, K=16, sums=sums)
+        args = ("a=1", "direction=bond_to_effective", "nu=0.3", "n_lambda=3")
+        code, out = run(tmp_path, "moduli", *args)
+        assert code == 4
+        doc = _strict_json(out / "check.json")
+        assert doc["status"] == "consistency-failure"
+        assert "structural zeros" in doc["message"]
+        config = load_config(None, list(args))
+        assert doc["config"] == {k: v for k, v in config.items() if v is not None}
+        assert "residual" not in doc
 
     def test_dilute_row_is_identity(self, tmp_path):
         code, out = run(

@@ -72,6 +72,12 @@ class TestConversions:
         with pytest.raises(errors.InvalidArgumentError):
             homogenize.effective_from_bond(1.0, 1.2, data)
 
+    def test_non_positive_modulus(self, data):
+        with pytest.raises(errors.InvalidArgumentError, match="E must be positive"):
+            homogenize.effective_from_bond(0.0, 0.3, data)
+        with pytest.raises(errors.InvalidArgumentError, match="E must be positive"):
+            homogenize.isotropy_check(data, E=0.0)
+
     def test_unreachable_nu_eff(self, data):
         # bond ratios in (-1, 1) reach exactly nu_eff in (c - e, c + e)
         lo, hi = data.c - data.e, data.c + data.e

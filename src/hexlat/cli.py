@@ -9,7 +9,8 @@ without re-parsing the data files.
 Exit codes: 0 ok, else the one that the error's class states (see
 `errors`).  `main` alone turns an outcome into the exit code and writes
 check.json: an ok run's, or a precision/consistency failure's report with
-its config.  An unusable config file, output directory or artifact exits 2.
+its config; it first deletes an earlier run's, so none survives a failure.
+An unusable config file, output directory or artifact exits 2.
 """
 
 from __future__ import annotations
@@ -416,9 +417,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_intermixed_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    out = Path(args.out)
     try:
+        if (out / "check.json").is_file():  # no run leaves an earlier run's report behind
+            (out / "check.json").unlink()
         cfg = load_config(args.config, list(args.overrides))
-        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         checks = _COMMANDS[args.command](cfg, out)
         _write_check(out, args.command, cfg, status="ok", checks=checks)

@@ -3,7 +3,9 @@
 The period lattice is spanned by omega1 = a*sqrt(3)/2 - i*a/2 and its
 conjugate omega2.  The series constants c_s and d_s are summed on the
 normalized lattice a = 1 (cell units), where the solver uses them, and
-rescaled by a^(-2s) for the physical values.
+rescaled by a^(-2s) for the physical values.  Every order is its own ring
+sum: `recursion_c` is an oracle only, since seeding it with the summed c_3
+would spread c_3's truncation error (3e-9 at 64 rings) to every c_3s.
 
 The cyclic constants have a closed form.  The rotation z -> e^(i pi/3) z
 maps the lattice onto itself and omega1 onto omega2, so
@@ -141,7 +143,8 @@ class LatticeSums:
     zero), in units a^(-2s); c_cell, d_cell hold them at a = 1.  delta_j =
     2*zeta(omega_j/2) = delta*conj(omega_j) are the cyclic constants and
     gamma_j = 0 the Natanzon period defects, both exact closed forms (module
-    docstring); the Weierstrass invariants g2/g3 and tail come from the sums.
+    docstring); gamma_j and `method`, the one summation path, are class
+    constants.  The Weierstrass invariants g2/g3 and tail come from the sums.
     """
 
     spec: LatticeSpec
@@ -153,12 +156,11 @@ class LatticeSums:
     delta1: complex
     delta2: complex
     delta: float
-    gamma1: complex
-    gamma2: complex
     g2: float
     g3: float
     tail: float
-    method: str
+    gamma1 = gamma2 = 0j
+    method = "direct"
 
     @cached_property
     def cell_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -180,7 +182,8 @@ def _raw_sums(s_max: int, shells: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Ring-by-ring sums on the a = 1 lattice (s_max >= 3) with a convergence monitor.
 
     Returns (c, d, tail) where tail is the relative contribution of the
-    outermost summed ring to the slowest entries (c_3 and d_2).
+    outermost summed ring to d_2, the slowest sum (c_3's outermost share is
+    smaller at every ring count).
     """
     omega1, omega2 = _periods(1.0)
     m, n, ring = hex_ring_indices(shells)
@@ -188,7 +191,7 @@ def _raw_sums(s_max: int, shells: int) -> tuple[np.ndarray, np.ndarray, float]:
 
     c = np.zeros(s_max + 1)
     d = np.zeros(s_max + 1)
-    last_c3 = last_d2 = 0.0  # the outermost ring's terms (orders 2 and 3 stay active)
+    last_d2 = 0.0  # the outermost ring's d_2 term (order 2 stays active)
     order = np.argsort(ring, kind="stable")
     w = w[order]
     ring = ring[order]
@@ -209,12 +212,10 @@ def _raw_sums(s_max: int, shells: int) -> tuple[np.ndarray, np.ndarray, float]:
             d[s] += dd
             if s == 2:
                 last_d2 = dd
-            elif s == 3:
-                last_c3 = dc
             scale = max(abs(c[s]), abs(d[s]), 1e-300)
             if max(abs(dc), abs(dd)) < _RING_EPS * scale and s > 3:
                 active[s] = False
-    return c, d, max(abs(last_c3) / abs(c[3]), abs(last_d2) / abs(d[2]))
+    return c, d, abs(last_d2) / abs(d[2])
 
 
 def recursion_c(c3: float, s_max: int) -> np.ndarray:
@@ -240,25 +241,23 @@ def compute_lattice_sums(
     spec: LatticeSpec,
     s_max: int = 40,
     shells: int = 64,
-    method: str = "hybrid",
+    method: str = "direct",
 ) -> LatticeSums:
     """Lattice sums c_s, d_s plus all cyclic constants for `spec`.
 
-    c_s and d_s are summed directly over `shells` rings.  method "hybrid"
-    (default) then replaces c_s for s = 6, 9, ... by the recursion seeded
-    by the summed c_3 (exact, cancellation-free); "direct" keeps every
-    summed c_s and serves as the oracle.  Both methods take delta,
-    delta_j and gamma_j from their closed form (module docstring).  Raises
-    PrecisionError when the outermost ring still adds more than 1e-4 of
-    c_3 or d_2, and InvalidArgumentError when shells lies outside
-    [2, 512], s_max outside [3, 256], or the rescaling to spec.a is not
-    representable (a^(+-2 s_max) not a finite, normal double).
+    Every c_s and d_s is summed directly over `shells` rings; "direct" is
+    the only method.  delta, delta_j and gamma_j take their closed form
+    (module docstring).  Raises PrecisionError when the outermost ring
+    still adds more than 1e-4 of d_2, and InvalidArgumentError for another
+    method, shells outside [2, 512], s_max outside [3, 256], or a
+    rescaling to spec.a that is not representable (a^(+-2 s_max) not a
+    finite, normal double).
     """
     if not 3 <= s_max <= _MAX_ORDER:
         raise InvalidArgumentError(f"s_max must lie in [3, {_MAX_ORDER}], got {s_max}")
     if not 2 <= shells <= _MAX_SHELLS:
         raise InvalidArgumentError(f"shells must lie in [2, {_MAX_SHELLS}], got {shells}")
-    if method not in ("hybrid", "direct"):
+    if method != "direct":
         raise InvalidArgumentError(f"unknown method {method!r}")
     a = spec.a
     try:
@@ -278,12 +277,6 @@ def compute_lattice_sums(
             f"outermost ring still contributes {tail:.3e} (tolerance {_TAIL_TOL:.1e})",
             tail=tail,
         )
-    g2 = 20.0 * c[2]
-    g3 = 28.0 * c[3]
-    if method == "hybrid":
-        crec = recursion_c(c[3], s_max)
-        for s in range(6, s_max + 1, 3):
-            c[s] = crec[s]
 
     delta = 2.0 * math.pi / math.sqrt(3)
     delta1, delta2 = (delta * w.conjugate() for w in _periods(1.0))
@@ -298,10 +291,7 @@ def compute_lattice_sums(
         delta1=delta1 / a,
         delta2=delta2 / a,
         delta=delta / a**2,
-        gamma1=0j,
-        gamma2=0j,
-        g2=g2 / a**4,
-        g3=g3 / a**6,
+        g2=20.0 * c[2] / a**4,
+        g3=28.0 * c[3] / a**6,
         tail=tail,
-        method=method,
     )

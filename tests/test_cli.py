@@ -348,6 +348,19 @@ class TestExitPath:
                 key: value,
             }
 
+    def test_no_earlier_report_survives_a_failed_run(self, tmp_path):
+        ok_args = ("solve", "a=1", "K=8")
+        assert run(tmp_path, *ok_args)[0] == 0
+        code, out = run(tmp_path, "solve", "K=often")  # fails before any lattice sum
+        assert code == 2
+        assert not (out / "check.json").exists()
+        assert run(tmp_path, *ok_args)[0] == 0
+        code, out = run(tmp_path, "solve", "a=1", "lambda_ratio=0.45", "K=4")
+        assert code == 4
+        doc = _strict_json(out / "check.json")
+        assert doc["status"] == "consistency-failure"
+        assert doc["config"]["lambda_ratio"] == 0.45 and doc["config"]["K"] == 4
+
     def test_unwritable_failure_report_still_exits_3(self, tmp_path, capsys):
         # shells=2 fails the lattice sums' tail monitor; check.json names a directory
         out = tmp_path / "out"

@@ -1,5 +1,7 @@
 """Lattice geometry, chiral angle, and lattice-sum constants."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +137,29 @@ class TestLatticeSums:
         s = np.arange(2, 25)
         scale = np.abs(sums_direct.c[s]) + abs(sums_direct.c[3]) * 1e-8
         assert np.max(np.abs(sums.c[s] - sums_direct.c[s]) / scale) < 1e-7
+
+    def test_c3_and_its_multiples_match_the_closed_form(self, sums):
+        # c_3 = 5 G_6 = -Gamma(1/3)^18 / ((2 pi)^6 28) at a = 1 (DLMF 23.5(v)); the
+        # ring sum's c_3 is off by its truncation (3e-9 at 64 rings), while each
+        # c_3s is its own ring sum, right to rounding
+        C3 = -math.gamma(1 / 3) ** 18 / ((2 * math.pi) ** 6 * 28)
+        assert C3 == pytest.approx(-29.315158467127066, rel=1e-15)
+        assert abs(sums.c_cell[3] / C3 - 1) <= 5e-9
+        exact = lattice.recursion_c(C3, 40)
+        for s in range(6, 41, 3):
+            assert abs(sums.c_cell[s] / exact[s] - 1) <= 2e-15 * s, s
+
+    @pytest.mark.parametrize("shells", [4, 16, 64])
+    def test_tail_is_the_outermost_ring_share_of_d2(self, spec, shells):
+        try:
+            tail = lattice.compute_lattice_sums(spec, s_max=3, shells=shells).tail
+        except errors.PrecisionError as exc:  # 4 rings fail the monitor
+            tail = exc.tail
+        m, n, ring = lattice.hex_ring_indices(shells)
+        w = m * spec.omega1 + n * spec.omega2  # spec.a = 1
+        terms = np.real(np.conj(w) / w**5)  # d_2 = sum' conj(w) w^-5
+        want = abs(np.sum(terms[ring == shells])) / abs(np.sum(terms))
+        assert tail == pytest.approx(want, rel=1e-12)
 
 
 def _extrapolated_gammas(spec, levels=(16, 32, 64, 128)):

@@ -9,7 +9,8 @@ without re-parsing the data files.
 Exit codes: 0 ok, else the one that the error's class states (see
 `errors`).  `main` alone turns an outcome into the exit code and writes
 check.json: an ok run's, or a precision/consistency failure's report with
-its config; it first deletes an earlier run's, so none survives a failure.
+its config.  It first deletes an earlier run's check.json and every data
+artifact the command can write, so none survives a failure.
 An unusable config file, output directory or artifact exits 2.
 """
 
@@ -37,8 +38,9 @@ __all__ = ["main"]
 _CHECK_SCHEMA = "hexlat-check/1"
 
 # All recognized keys with defaults (None = no default, optional).
-# Units: a and lambda in pm (or any single consistent length unit),
-# angles in radians, stresses in any consistent unit, moduli relative.
+# Units: a and lambda in pm (or any single consistent length unit: a sets
+# only the length scale, e.g. a=2.46e-10 in metres), angles in radians,
+# stresses in any consistent unit, moduli relative.
 _DEFAULTS = {
     "a": 246.0,  # lattice constant
     "lambda": None,  # hole radius (absolute); exclusive with lambda_ratio
@@ -401,6 +403,10 @@ _COMMANDS = {
     "sweep": cmd_sweep,
     "moduli": cmd_moduli,
 }
+# The data artifacts each command can write, besides check.json
+_ARTIFACTS = {"sums": ("sums.csv",), "solve": ("coeffs.json",), "field": ("field.csv", "fig2.svg"),
+              "sweep": ("field.csv", "fig3.svg", "fig6.svg"),
+              "moduli": ("moduli.csv", "fig4.svg", "fig5.svg")}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -419,8 +425,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     out = Path(args.out)
     try:
-        if (out / "check.json").is_file():  # no run leaves an earlier run's report behind
-            (out / "check.json").unlink()
+        for name in ("check.json", *_ARTIFACTS[args.command]):  # nothing of an earlier run survives
+            if (out / name).is_file():
+                (out / name).unlink()
         cfg = load_config(args.config, list(args.overrides))
         out.mkdir(parents=True, exist_ok=True)
         checks = _COMMANDS[args.command](cfg, out)

@@ -1,10 +1,11 @@
 """Hexagonal lattice geometry, chiral angle, and lattice-sum constants.
 
 The period lattice is spanned by omega1 = a*sqrt(3)/2 - i*a/2 and its
-conjugate omega2.  The series constants c_s and d_s are summed on the
-normalized lattice a = 1 (cell units), where the solver uses them, and
-rescaled by a^(-2s) for the physical values.  Every order is its own ring
-sum: `recursion_c` is an oracle only, since seeding it with the summed c_3
+conjugate omega2.  a is a length unit: the series constants c_s and d_s
+are summed on the normalized lattice a = 1 (cell units), where the solver
+uses them, and only a reader of the physical values (c_s a^(-2s), d_s
+a^(-2s), delta, g2, g3) forms them.  Every order is its own ring sum:
+`recursion_c` is an oracle only, since seeding it with the summed c_3
 would spread c_3's truncation error (3e-9 at 64 rings) to every c_3s.
 
 The cyclic constants have a closed form.  The rotation z -> e^(i pi/3) z
@@ -59,16 +60,13 @@ _MAX_ORDER = 256
 class LatticeSpec:
     """Geometry of one hexagonal period lattice.
 
-    a is the lattice constant (pm), omega1/omega2 the complex periods,
-    (m, n) the chiral indices (0, 0 when alpha was given directly), and
-    alpha the chiral/load angle in radians.
+    a is the lattice constant (any length unit), omega1/omega2 the complex
+    periods, and alpha the chiral/load angle in radians.
     """
 
     a: float
     omega1: complex
     omega2: complex
-    m: int
-    n: int
     alpha: float
 
     def __post_init__(self):
@@ -104,15 +102,13 @@ def _periods(a: float) -> tuple[complex, complex]:
 
 def build_lattice(a: float, m: int, n: int) -> LatticeSpec:
     """Lattice spec from the lattice constant and chiral indices."""
-    alpha = chiral_angle(m, n)
-    omega1, omega2 = _periods(a)
-    return LatticeSpec(a=float(a), omega1=omega1, omega2=omega2, m=int(m), n=int(n), alpha=float(alpha))
+    return lattice_from_alpha(a, chiral_angle(m, n))
 
 
 def lattice_from_alpha(a: float, alpha: float) -> LatticeSpec:
     """Lattice spec with the chiral angle supplied directly (for sweeps)."""
     omega1, omega2 = _periods(a)
-    return LatticeSpec(a=float(a), omega1=omega1, omega2=omega2, m=0, n=0, alpha=float(alpha))
+    return LatticeSpec(a=float(a), omega1=omega1, omega2=omega2, alpha=float(alpha))
 
 
 def hex_ring_indices(shells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -135,32 +131,59 @@ def lattice_translates(spec: LatticeSpec, shells: int) -> np.ndarray:
     return m * spec.omega1 + n * spec.omega2
 
 
+# delta and delta_j = delta*conj(omega_j) on the a = 1 lattice (module docstring)
+_DELTA = 2.0 * math.pi / math.sqrt(3)
+_DELTA_J = tuple(_DELTA * w.conjugate() for w in _periods(1.0))
+
+
+def _check_scale(a: float, power: int):
+    """Raise InvalidArgumentError unless a^(+-power) are finite, normal doubles."""
+    try:
+        extremes = (a ** float(power), a ** -float(power))
+    except OverflowError:
+        extremes = (math.inf,)
+    if not all(sys.float_info.min <= v <= sys.float_info.max for v in extremes):
+        raise InvalidArgumentError(
+            f"lattice constant a = {a:g} is out of range: a^(+-{power}) is not a finite, normal double"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class LatticeSums:
     """Truncated lattice sums and cyclic constants for one lattice.
 
-    c[s] and d[s] are indexed by the order s (entries 0 and 1 unused and
-    zero), in units a^(-2s); c_cell, d_cell hold them at a = 1.  delta_j =
-    2*zeta(omega_j/2) = delta*conj(omega_j) are the cyclic constants and
-    gamma_j = 0 the Natanzon period defects, both exact closed forms (module
-    docstring); gamma_j and `method`, the one summation path, are class
-    constants.  The Weierstrass invariants g2/g3 and tail come from the sums.
+    Only the a = 1 sums c_cell[s], d_cell[s] (indexed by the order s,
+    entries 0 and 1 unused and zero) and tail are stored.  The physical
+    values are formed on read: c and d in units a^(-2s), cached, read-only,
+    and refused (InvalidArgumentError) when a^(+-2 s_max) is not a finite,
+    normal double; the invariants g2/g3; and delta_j = 2*zeta(omega_j/2) =
+    delta*conj(omega_j).  These and gamma_j = 0 are exact closed forms
+    (module docstring); gamma_j and `method`, the one summation path, are
+    class constants.
     """
 
     spec: LatticeSpec
     s_max: int
-    c: np.ndarray
-    d: np.ndarray
     c_cell: np.ndarray
     d_cell: np.ndarray
-    delta1: complex
-    delta2: complex
-    delta: float
-    g2: float
-    g3: float
     tail: float
     gamma1 = gamma2 = 0j
     method = "direct"
+
+    def _physical(self, cell: np.ndarray) -> np.ndarray:
+        a = self.spec.a
+        _check_scale(a, 2 * self.s_max)
+        values = cell * a ** (-2.0 * np.arange(self.s_max + 1))  # from the a = 1 lattice
+        values.flags.writeable = False
+        return values
+
+    c = cached_property(lambda self: self._physical(self.c_cell))
+    d = cached_property(lambda self: self._physical(self.d_cell))
+    delta = property(lambda self: _DELTA / self.spec.a**2)
+    delta1 = property(lambda self: _DELTA_J[0] / self.spec.a)
+    delta2 = property(lambda self: _DELTA_J[1] / self.spec.a)
+    g2 = property(lambda self: 20.0 * self.c_cell[2] / self.spec.a**4)
+    g3 = property(lambda self: 28.0 * self.c_cell[3] / self.spec.a**6)
 
     @cached_property
     def cell_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -245,13 +268,16 @@ def compute_lattice_sums(
 ) -> LatticeSums:
     """Lattice sums c_s, d_s plus all cyclic constants for `spec`.
 
-    Every c_s and d_s is summed directly over `shells` rings; "direct" is
-    the only method.  delta, delta_j and gamma_j take their closed form
-    (module docstring).  Raises PrecisionError when the outermost ring
-    still adds more than 1e-4 of d_2, and InvalidArgumentError for another
-    method, shells outside [2, 512], s_max outside [3, 256], or a
-    rescaling to spec.a that is not representable (a^(+-2 s_max) not a
-    finite, normal double).
+    Every c_s and d_s is summed directly over `shells` rings of the a = 1
+    lattice, whatever spec.a; "direct" is the only method.  delta, delta_j
+    and gamma_j take their closed form (module docstring).  No physical
+    value is formed here: `LatticeSums` forms them on read.  Raises
+    PrecisionError when the outermost ring still adds more than 1e-4 of
+    d_2, and InvalidArgumentError for another method, shells outside
+    [2, 512], s_max outside [3, 256], or an a whose a^(+-6) is not a
+    finite, normal double: the powers of delta, g2 and g3, which bound
+    every power of a the solve, the fields and the homogenization form
+    (at most a^4).  Only `c` and `d` need a^(+-2 s_max).
     """
     if not 3 <= s_max <= _MAX_ORDER:
         raise InvalidArgumentError(f"s_max must lie in [3, {_MAX_ORDER}], got {s_max}")
@@ -259,16 +285,7 @@ def compute_lattice_sums(
         raise InvalidArgumentError(f"shells must lie in [2, {_MAX_SHELLS}], got {shells}")
     if method != "direct":
         raise InvalidArgumentError(f"unknown method {method!r}")
-    a = spec.a
-    try:
-        extremes = (a ** (2.0 * s_max), a ** (-2.0 * s_max))
-    except OverflowError:
-        extremes = (math.inf,)
-    if not all(sys.float_info.min <= v <= sys.float_info.max for v in extremes):
-        raise InvalidArgumentError(
-            f"lattice constant a = {a:g} is out of range for s_max = {s_max}: "
-            f"a^(+-{2 * s_max}) is not a finite, normal double"
-        )
+    _check_scale(spec.a, 6)
 
     c, d, tail = _raw_sums(s_max, shells)
     if tail > _TAIL_TOL:
@@ -278,20 +295,4 @@ def compute_lattice_sums(
             tail=tail,
         )
 
-    delta = 2.0 * math.pi / math.sqrt(3)
-    delta1, delta2 = (delta * w.conjugate() for w in _periods(1.0))
-
-    scale = a ** (-2.0 * np.arange(s_max + 1))  # from the a = 1 lattice to the physical one
-    return LatticeSums(
-        spec=spec,
-        s_max=s_max,
-        c=c * scale,
-        d=d * scale,
-        c_cell=c, d_cell=d,
-        delta1=delta1 / a,
-        delta2=delta2 / a,
-        delta=delta / a**2,
-        g2=20.0 * c[2] / a**4,
-        g3=28.0 * c[3] / a**6,
-        tail=tail,
-    )
+    return LatticeSums(spec=spec, s_max=s_max, c_cell=c, d_cell=d, tail=tail)

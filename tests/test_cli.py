@@ -74,14 +74,15 @@ class TestConfig:
 
     @pytest.mark.parametrize("args", [
         ("sums", "a=1e5"),
-        ("solve", "a=1e-5"),
-        ("solve", "a=1e20"),
-        ("field", "a=1e10"),
+        ("sums", "a=246", "s_max=80"),
+        ("solve", "a=1e52"),
+        ("field", "a=1e-60"),
         ("solve", "a=1e150"),
-        ("solve", "a=1e5"),
+        ("moduli", "a=1e60", "direction=bond_to_effective", "nu=0.3"),
     ])
     def test_unrepresentable_lattice_constant(self, tmp_path, args):
-        # the a^(-2s) rescaling of the lattice sums over- or underflows
+        # sums.csv needs a^(+-2 s_max), every command a^(+-6) (delta, g2, g3),
+        # as finite, normal doubles
         code, out = run(tmp_path, *args)
         assert code == 2
         assert not (out / "check.json").exists()
@@ -283,6 +284,57 @@ class TestExitContract:
                     assert np.isfinite(read_csv(csv)[1]).all(), csv.name
 
 
+@st.composite
+def _sweep_moduli_runs(draw):
+    """One sweep, or moduli in either direction: a log-uniform lattice
+    constant across the a^(+-6) bound, loads up to 1e308, angles up to
+    1e300, holes up to 0.4999 a and K up to 254.  The sample count (at most
+    4) and the Poisson ratio are always set, each other key or not."""
+    mode = draw(st.sampled_from(["sweep", "bond_to_effective", "effective_to_bond"]))
+    args = [mode] if mode == "sweep" else ["moduli", f"direction={mode}"]
+    args.append(f"a={10.0 ** draw(st.floats(-60, 60))!r}")
+    keys = [("sigma1", st.floats(-1e308, 1e308)), ("sigma2", st.floats(-1e308, 1e308)),
+            ("alpha", st.floats(-1e300, 1e300)), ("K", st.integers(4, 254)),
+            ("shells", st.integers(2, 64))]
+    if mode == "sweep":
+        keys += [("sweep_theta", st.floats(-1e300, 1e300)), ("lambda_ratio", st.floats(0.01, 0.4999)),
+                 ("r_factors", st.floats(1.0, 1.5)), ("n_alpha", st.integers(2, 4))]
+    else:
+        keys += [("nu" if mode == "bond_to_effective" else "nu_eff", st.floats(-0.99, 0.99)),
+                 ("lam_ratio_min", st.floats(0.01, 0.4999)), ("lam_ratio_max", st.floats(0.01, 0.4999)),
+                 ("n_lambda", st.integers(2, 4))]
+    for key, values in keys:
+        if draw(st.booleans()) or key in ("n_alpha", "n_lambda", "nu", "nu_eff"):
+            args.append(f"{key}={draw(values)!r}")
+    return args
+
+
+class TestSweepModuliExitContract:
+    @given(_sweep_moduli_runs())
+    # either side of the a^(+-6) bound, a = 5.3e-52 ... 1.9e51
+    @example(["sweep", "a=5.4e-52", "n_alpha=2"])
+    @example(["sweep", "a=1.9e51", "n_alpha=2"])
+    @example(["moduli", "direction=bond_to_effective", "a=1.88e51", "nu=0.3", "n_lambda=2"])
+    @example(["moduli", "direction=effective_to_bond", "a=5.2e-52", "nu_eff=0.3", "n_lambda=2"])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_documented_exit_and_finite_ok_artifacts(self, args):
+        # as TestExitContract, for the commands that solve a load or a hole
+        # radius per row: an exit-2 run writes no report
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            code = main([*args, "--out", str(out)])
+            assert code in (0, 2, 3, 4)
+            check = out / "check.json"
+            assert check.exists() == (code != 2)
+            if code != 2:
+                doc = _strict_json(check)
+                assert (doc["status"] == "ok") == (code == 0)
+            if code == 0:
+                assert all(math.isfinite(x) for x in _numbers(doc))
+                for csv in out.glob("*.csv"):
+                    assert np.isfinite(read_csv(csv)[1]).all(), csv.name
+
+
 class _Unstated(errors.HexlatError):
     """A new error class that states no exit code of its own."""
 
@@ -360,6 +412,16 @@ class TestExitPath:
         doc = _strict_json(out / "check.json")
         assert doc["status"] == "consistency-failure"
         assert doc["config"]["lambda_ratio"] == 0.45 and doc["config"]["K"] == 4
+
+    @pytest.mark.parametrize("command, artifacts", [("solve", ["coeffs.json"]),
+                                                    ("field", ["field.csv", "fig2.svg"])])
+    def test_no_earlier_artifact_survives_a_failed_run(self, tmp_path, command, artifacts):
+        code, out = run(tmp_path, command, "a=1", "n_r=3")
+        assert code == 0
+        assert all((out / name).is_file() for name in artifacts)
+        code, out = run(tmp_path, command, "a=1", "lambda_ratio=0.45", "K=4", "n_r=3")
+        assert code == 4
+        assert sorted(p.name for p in out.iterdir()) == ["check.json"]
 
     def test_unwritable_failure_report_still_exits_3(self, tmp_path, capsys):
         # shells=2 fails the lattice sums' tail monitor; check.json names a directory
@@ -443,6 +505,10 @@ class TestSolve:
         ("a=0.01", "lambda_ratio=0.05", "K=60", "s_max=62"),
         # the physical series rows carried lambda^(2k) ~ 49^(2k) times the load
         ("a=246", "sigma1=1e280", "sigma2=-1e280"),
+        # a^(+-2 s_max) over- or underflowed while the sums were formed eagerly
+        ("a=1e-5",),
+        ("a=1e5",),
+        ("a=1e20",),
     ])
     def test_solution_does_not_depend_on_a(self, tmp_path, args):
         # the solve runs in cell units: the same problem at a = 1 gives the
@@ -500,6 +566,9 @@ class TestSolve:
         assert doc["residual"] is None
 
 
+_FIELD_STRESSES = ["sigma_r", "tau_rtheta", "sigma_theta", "sigma_x", "sigma_y", "tau_xy"]
+
+
 class TestField:
     def test_curves_start_traction_free(self, tmp_path):
         code, out = run(tmp_path, "field", "a=1", "lambda_ratio=0.2", "n_r=20")
@@ -514,6 +583,27 @@ class TestField:
 
     def test_nu_exclusivity(self, tmp_path):
         assert main(["field", "--out", str(tmp_path), "a=1", "nu=0.3", "nu_eff=0.3"]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ("a=1e10",),
+        ("a=2.46e-10",),  # graphene in metres
+        ("a=246", "lambda_ratio=0.45", "K=38", "s_max=80"),  # c, d would need a^(+-160)
+    ])
+    def test_fields_do_not_depend_on_a(self, tmp_path, args):
+        # a is a length unit: the stresses, r/a and 2G u/a equal their a = 1 values
+        a = float(args[0].split("=")[1])
+        cuts = []
+        for scale, key in ((a, args[0]), (1.0, "a=1")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out = run(tmp_path / key, "field", key, *args[1:], "n_r=6")
+            assert code == 0
+            header, rows = read_csv(out / "field.csv")
+            rows[:, [header.index(k) for k in ("r", "u2G", "v2G")]] /= scale
+            cuts.append(rows)
+        for cols in (["r"], _FIELD_STRESSES, ["u2G", "v2G"]):
+            got, want = (cut[:, [header.index(k) for k in cols]] for cut in cuts)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), cols
 
 
 class TestSweep:

@@ -172,7 +172,7 @@ class TestFolding:
         # from well inside to well below the margin, near and far from the origin
         spin = cmath.exp(1j * turn)
         w1, w2 = lattice._periods(a)
-        sp = lattice.LatticeSpec(a=a, omega1=w1 * spin, omega2=w2 * spin, m=0, n=0, alpha=0.0)
+        sp = lattice.LatticeSpec(a=a, omega1=w1 * spin, omega2=w2 * spin, alpha=0.0)
         z = np.array(_margin_sweep_points(sp))
         z0, m, n = elliptic.fold_point(z, sp)
         for i, zi in enumerate(map(complex, z)):

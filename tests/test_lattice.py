@@ -116,9 +116,56 @@ class TestLatticeSums:
 
     @pytest.mark.parametrize("a, s_max", [(1e5, 40), (1e-5, 40), (1e150, 3), (np.inf, 3)])
     def test_unrepresentable_scale_rejected(self, a, s_max):
-        # a^(+-2 s_max) must be a finite, normal double
+        # reading c or d needs a^(+-2 s_max) as a finite, normal double;
+        # at s_max = 3 that is a^(+-6), which forming the sums already needs
+        spec = lattice.build_lattice(a, 1, 1)
         with pytest.raises(errors.InvalidArgumentError, match="out of range"):
-            lattice.compute_lattice_sums(lattice.build_lattice(a, 1, 1), s_max=s_max, shells=8)
+            lattice.compute_lattice_sums(spec, s_max=s_max, shells=16).c
+        with pytest.raises(errors.InvalidArgumentError, match="out of range"):
+            lattice.compute_lattice_sums(spec, s_max=s_max, shells=16).d
+
+    @pytest.mark.parametrize("a", [5.4e-52, 1.88e51])
+    def test_any_order_is_formed_while_a6_is_representable(self, a):
+        # a^(+-6) bounds every power of a that the solve and the fields take
+        # (delta ~ a^-2 at most); c and d at s_max = 40 need a^(+-80) on read
+        sums = lattice.compute_lattice_sums(lattice.build_lattice(a, 1, 1), s_max=40, shells=16)
+        assert all(math.isfinite(v) for v in (sums.delta, abs(sums.delta1), abs(sums.delta2)))
+        with pytest.raises(errors.InvalidArgumentError, match=r"a\^\(\+-80\)"):
+            sums.c
+
+    @pytest.mark.parametrize("a", [5.2e-52, 1.9e51, 1e150, np.inf])
+    def test_sums_refused_when_a6_is_not_representable(self, a):
+        with pytest.raises(errors.InvalidArgumentError, match=r"a\^\(\+-6\)"):
+            lattice.compute_lattice_sums(lattice.build_lattice(a, 1, 1), s_max=40, shells=16)
+
+    @pytest.mark.parametrize("a", [2.46, 246.0])
+    def test_cell_sums_do_not_depend_on_a(self, a):
+        # only the a = 1 sums are formed, whatever the lattice constant
+        one, other = (lattice.compute_lattice_sums(lattice.build_lattice(x, 1, 1), s_max=40, shells=32)
+                      for x in (1.0, a))
+        assert np.array_equal(one.c_cell, other.c_cell)
+        assert np.array_equal(one.d_cell, other.d_cell)
+        assert one.tail == other.tail
+
+    @pytest.mark.parametrize("a", [1.0, 2.46, 246.0])
+    def test_physical_values_are_formed_on_read(self, a):
+        # the same expressions, so the same bits, as when the sums formed them
+        sums = lattice.compute_lattice_sums(lattice.build_lattice(a, 1, 1), s_max=40, shells=32)
+        c, d = sums.c_cell, sums.d_cell
+        scale = a ** (-2.0 * np.arange(41))
+        assert np.array_equal(sums.c, c * scale) and np.array_equal(sums.d, d * scale)
+        delta = 2.0 * math.pi / math.sqrt(3)
+        delta1, delta2 = (delta * w.conjugate() for w in lattice._periods(1.0))
+        assert (sums.delta, sums.delta1, sums.delta2) == (delta / a**2, delta1 / a, delta2 / a)
+        assert (sums.g2, sums.g3) == (20.0 * c[2] / a**4, 28.0 * c[3] / a**6)
+        # c and d are formed once and read-only
+        assert sums.c is sums.c and sums.d is sums.d
+        assert not (sums.c.flags.writeable or sums.d.flags.writeable)
+
+    def test_laurent_evaluator_refuses_unrepresentable_sums(self):
+        sums = lattice.compute_lattice_sums(lattice.build_lattice(1e5, 1, 1), s_max=40, shells=16)
+        with pytest.raises(errors.InvalidArgumentError, match="out of range"):
+            elliptic.make_evaluator(sums)
 
     @pytest.mark.parametrize("shells", [513, 10**7])
     def test_ring_count_out_of_range(self, spec, shells):

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, HexlatError, NumericalError
-from .fields import cell_boundary_radius, total_displacement, total_stress
+from .fields import CellGeometry, _check_theta, cell_boundary_radius, total_displacement, total_stress
 from .homogenize import bond_from_effective, effective_from_bond, homogenization_data, isotropy_check
 from .lattice import _MAX_ORDER, build_lattice, compute_lattice_sums, lattice_from_alpha
 from .solver import LoadCase, ProblemSpec, series_tables, solve_coefficients
@@ -121,24 +121,13 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             raise ConfigurationError(f"{key} must lie in [2, {_MAX_SAMPLES}], got {cfg[key]}")
     if cfg["K"] + 2 > _MAX_ORDER:  # the solve needs lattice sums to order K + 2
         raise ConfigurationError(f"K must be at most {_MAX_ORDER - 2}, got {cfg['K']}")
-    # checked for every command, before any lattice sum is formed; the config
-    # keeps (and check.json echoes) the list strings
+    # checked for every command, before any lattice sum is formed, by the rules of the
+    # functions that take them; the config keeps (and check.json echoes) the list strings
     _float_list(cfg["r_factors"], "r_factors")
-    # the load and the fields take their angles through e^(2i angle)
-    for key, name, values in (
-        ("alpha", "alpha", [cfg["alpha"] or 0.0]),
-        ("alphas", "alpha", _float_list(cfg["alphas"], "alphas")),
-        ("theta", "theta", [cfg["theta"]]),
-        ("sweep_theta", "theta", [cfg["sweep_theta"]]),
-    ):
-        for v in values:
-            if not math.isfinite(2 * v):
-                raise ConfigurationError(f"key {key!r}: 2*{name} = 2*{v!r} is not a finite double")
-    s1, s2 = cfg["sigma1"], cfg["sigma2"]
-    if not (math.isfinite(0.5 * (s1 + s2)) and math.isfinite(0.5 * (s1 - s2))):
-        raise ConfigurationError(
-            f"sigma1 = {s1!r}, sigma2 = {s2!r}: (sigma1 +- sigma2)/2 is not a finite double"
-        )
+    for alpha in [cfg["alpha"] or 0.0, *_float_list(cfg["alphas"], "alphas")]:
+        LoadCase(cfg["sigma1"], cfg["sigma2"], alpha)
+    for key in ("theta", "sweep_theta"):
+        _check_theta(cfg[key])
     return cfg
 
 
@@ -319,12 +308,11 @@ def cmd_sweep(cfg: dict, out: Path) -> dict:
     spec, lam = _resolve_geometry(cfg)
     theta = cfg["sweep_theta"]
     radii = [f * lam for f in _float_list(cfg["r_factors"], "r_factors")]
-    r_hi = cell_boundary_radius(theta, spec.a)
+    cell = CellGeometry(spec.a, lam)
     for r in radii:
-        if not lam <= r <= r_hi:
-            raise ConfigurationError(
-                f"sweep radius {r:.6g} outside the cell cut [{lam:.6g}, {r_hi:.6g}]"
-            )
+        if not cell.contains(r, theta):
+            raise ConfigurationError(f"sweep radius {r:.6g} outside the cell cut "
+                                     f"[{lam:.6g}, {cell.boundary_radius(theta):.6g}]")
     angles = np.linspace(0.0, np.pi, cfg["n_alpha"])
     values, checks = _cut(cfg, out, spec, lam, theta, radii, angles)
     stress_curves, disp_curves = [], []

@@ -17,7 +17,7 @@ class HexlatError(Exception):
 
 class InvalidArgumentError(HexlatError, ValueError):
     """A physically or structurally invalid argument (zero chiral vector,
-    hole larger than the cell, Poisson ratio outside (-1, 0.5), ...)."""
+    hole larger than the cell, Poisson ratio outside (-1, 1), ...)."""
 
 
 class ConfigurationError(HexlatError):

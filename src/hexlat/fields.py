@@ -40,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import fold_point
-from .errors import DomainError, InvalidArgumentError
+from .errors import DomainError
+from .homogenize import _check_nu
 from .solver import LoadCase, PotentialCoefficients, ProblemSpec, SeriesTables
 
 __all__ = [
@@ -238,6 +239,12 @@ def displacement_potentials(
     return _potentials(z, coeffs, tables)[3:]
 
 
+def _check_theta(theta: float):
+    """Raise DomainError unless 2*theta is finite: a point enters the fields by e^(2i theta)."""
+    if not math.isfinite(2 * theta):
+        raise DomainError(f"polar angle theta = {theta!r}: 2*theta is not a finite double")
+
+
 def total_stress(
     r: float,
     theta: float,
@@ -255,8 +262,7 @@ def total_stress(
         r = float(r)
     if type(theta) is not float:
         theta = float(theta)
-    if not (math.isfinite(r) and math.isfinite(2 * theta)):
-        raise DomainError(f"polar point (r, theta) = ({r}, {theta}): r and 2*theta must be finite")
+    _check_theta(theta)  # a non-finite r fails the fold of r e^(i theta)
     e = cmath.exp(1j * theta)
     rot = e * e
     z = r * e
@@ -290,10 +296,9 @@ def total_displacement(
 
     The uniform-load part carries e^(2 i alpha) on the conj(z) term so
     that differentiating the displacement reproduces the rotated remote
-    state for every load angle.
+    state for every load angle.  The bond Poisson ratio nu must lie in (-1, 1).
     """
-    if not -1.0 < nu < 0.5:
-        raise InvalidArgumentError(f"Poisson ratio {nu} outside (-1, 0.5)")
+    _check_nu(nu)
     load = prob.load
     kappa = (3.0 - nu) / (1.0 + nu)
     phi_big, _, _, phi, psi = _potentials(z, coeffs, tables)

@@ -154,12 +154,13 @@ class LatticeSums:
 
     Only the a = 1 sums c_cell[s], d_cell[s] (indexed by the order s,
     entries 0 and 1 unused and zero) and tail are stored.  The physical
-    values are formed on read: c and d in units a^(-2s), cached, read-only,
-    and refused (InvalidArgumentError) when a^(+-2 s_max) is not a finite,
-    normal double; the invariants g2/g3; and delta_j = 2*zeta(omega_j/2) =
-    delta*conj(omega_j).  These and gamma_j = 0 are exact closed forms
-    (module docstring); gamma_j and `method`, the one summation path, are
-    class constants.
+    values are formed on read: c and d in units a^(-2s), cached and
+    read-only; the invariants g2/g3; and delta_j = 2*zeta(omega_j/2) =
+    delta*conj(omega_j).  c and d are refused (InvalidArgumentError) when
+    a^(+-2 s_max) is not a finite, normal double, and c, d, g2, g3 when a
+    value overflows (g3 = 28 c_3/a^6 does below a = 1.29e-51).  delta,
+    delta_j and gamma_j = 0 are exact closed forms (module docstring);
+    gamma_j and `method`, the one summation path, are class constants.
     """
 
     spec: LatticeSpec
@@ -170,20 +171,27 @@ class LatticeSums:
     gamma1 = gamma2 = 0j
     method = "direct"
 
-    def _physical(self, cell: np.ndarray) -> np.ndarray:
-        a = self.spec.a
-        _check_scale(a, 2 * self.s_max)
-        values = cell * a ** (-2.0 * np.arange(self.s_max + 1))  # from the a = 1 lattice
+    def _physical(self, name: str, form):
+        with np.errstate(over="ignore"):  # refused below, not warned of
+            values = form(self.spec.a)
+        if not np.isfinite(values).all():
+            raise InvalidArgumentError(f"lattice constant a = {self.spec.a:g} is out of range: "
+                                       f"{name} is not a finite double")
+        return values
+
+    def _scaled(self, name: str, cell: np.ndarray) -> np.ndarray:
+        _check_scale(self.spec.a, 2 * self.s_max)
+        values = self._physical(name, lambda a: cell * a ** (-2.0 * np.arange(self.s_max + 1)))
         values.flags.writeable = False
         return values
 
-    c = cached_property(lambda self: self._physical(self.c_cell))
-    d = cached_property(lambda self: self._physical(self.d_cell))
+    c = cached_property(lambda self: self._scaled("c", self.c_cell))
+    d = cached_property(lambda self: self._scaled("d", self.d_cell))
     delta = property(lambda self: _DELTA / self.spec.a**2)
     delta1 = property(lambda self: _DELTA_J[0] / self.spec.a)
     delta2 = property(lambda self: _DELTA_J[1] / self.spec.a)
-    g2 = property(lambda self: 20.0 * self.c_cell[2] / self.spec.a**4)
-    g3 = property(lambda self: 28.0 * self.c_cell[3] / self.spec.a**6)
+    g2 = property(lambda self: self._physical("g2", lambda a: 20.0 * self.c_cell[2] / a**4))
+    g3 = property(lambda self: self._physical("g3", lambda a: 28.0 * self.c_cell[3] / a**6))
 
     @cached_property
     def cell_tables(self) -> tuple[np.ndarray, np.ndarray]:

@@ -102,6 +102,13 @@ class LoadCase:
 UNIT_LOADS = (LoadCase(1.0, 1.0, 0.0), LoadCase(1.0, -1.0, 0.0), LoadCase(1.0, -1.0, np.pi / 4))
 
 
+def _check_hole(lam: float, a: float, K: int):
+    if not 0 < lam < a / 2:
+        raise InvalidArgumentError(f"hole radius {lam} must lie in (0, a/2) = (0, {a / 2})")
+    if K < 4:
+        raise InvalidArgumentError(f"truncation K must be >= 4, got {K}")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """One perforated-plane problem: lattice, hole radius, load, truncation."""
@@ -112,12 +119,7 @@ class ProblemSpec:
     K: int = 16
 
     def __post_init__(self):
-        if not 0 < self.lam < self.spec.a / 2:
-            raise InvalidArgumentError(
-                f"hole radius {self.lam} must lie in (0, a/2) = (0, {self.spec.a / 2})"
-            )
-        if self.K < 4:
-            raise InvalidArgumentError(f"truncation K must be >= 4, got {self.K}")
+        _check_hole(self.lam, self.spec.a, self.K)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,10 +248,7 @@ def series_tables(sums: LatticeSums, lam: float, K: int) -> SeriesTables:
     (lam/a)^(-2K), by which the rim arbiter scales the series' most
     singular row, is a finite double."""
     a = sums.spec.a
-    if not 0 < lam < a / 2:
-        raise InvalidArgumentError(f"hole radius {lam} out of range (0, {a / 2})")
-    if K < 4:
-        raise InvalidArgumentError(f"truncation K must be >= 4, got {K}")
+    _check_hole(lam, a, K)
     if sums.s_max < K + 2:
         raise ConfigurationError(
             f"lattice sums reach s_max = {sums.s_max}, need at least K+2 = {K + 2}"

@@ -264,6 +264,7 @@ def _runs(draw):
 class TestExitContract:
     @given(_runs())
     @example(["sums", "a=1.0", "alpha=nan"])
+    @example(["sums", "a=5.4e-52", "s_max=3"])
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_documented_exit_and_finite_ok_documents(self, args):
         # every run exits with a documented code; an "ok" run's documents
@@ -892,3 +893,23 @@ class TestModuli:
         iE, inu = header.index("E"), header.index("nu")
         assert rows[0, iE] == pytest.approx(1.0, abs=1e-4)
         assert rows[0, inu] == pytest.approx(0.3, abs=1e-4)
+
+    def test_bond_ratio_feeds_field_and_sweep(self, tmp_path):
+        # the paper's chain: the bond ratio that moduli recovers at a large hole
+        # (0.58368 at lambda = 0.3a, above the three-dimensional 0.5) is one
+        # that field and sweep take; the bound (-1, 1) still holds for both
+        code, out = run(tmp_path / "moduli", "moduli", "a=1", "direction=effective_to_bond",
+                        "nu_eff=0.45", "lam_ratio_max=0.3", "n_lambda=4")
+        assert code == 0
+        header, rows = read_csv(out / "moduli.csv")
+        nu = float(rows[:, header.index("nu")].max())
+        assert nu == pytest.approx(0.58368, abs=1e-5)
+        for args in (("field", "n_r=4"), ("sweep", "n_alpha=3")):
+            code, out = run(tmp_path / args[0], args[0], "a=1", "lambda_ratio=0.3", f"nu={nu!r}",
+                            args[1])
+            assert code == 0
+            assert np.isfinite(read_csv(out / "field.csv")[1]).all()
+        for bad in ("nu=1.0", "nu=-1.0"):
+            code, out = run(tmp_path / bad, "field", "a=1", bad)
+            assert code == 2
+            assert not (out / "check.json").exists()

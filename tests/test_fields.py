@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexlat import elliptic, errors, fields, lattice, solver
+from hexlat import elliptic, errors, fields, homogenize, lattice, solver
 from test_solver import _per_load_oracle
 
 
@@ -676,9 +676,31 @@ class TestDisplacements:
                 assert abs(jump - pred) < 1e-6
 
     def test_invalid_poisson(self, solved, tables):
+        # the plane-stress bound (-1, 1): a bond ratio such as 0.7, which the
+        # moduli conversions return at large holes, gives finite displacements
         prob, coeffs = solved
-        with pytest.raises(errors.InvalidArgumentError):
-            fields.total_displacement(0.3 + 0j, prob, coeffs, tables, 0.7)
+        for nu in (1.0, 1.2, -1.0):
+            with pytest.raises(errors.InvalidArgumentError):
+                fields.total_displacement(0.3 + 0j, prob, coeffs, tables, nu)
+        assert np.isfinite(fields.total_displacement(0.3 + 0j, prob, coeffs, tables, 0.7)).all()
+
+    @pytest.mark.parametrize("nu", [-1.0, -0.999, 0.4999, 0.5, 0.999, 1.0])
+    def test_one_poisson_rule(self, spec, sums, solved, tables, nu):
+        # the displacements and the moduli conversions take the same bond ratios
+        prob, coeffs = solved
+        data = homogenize.homogenization_data(spec, 0.2, sums=sums)
+
+        def accepts(call):
+            try:
+                call()
+            except errors.InvalidArgumentError:
+                return False
+            return True
+
+        calls = (lambda: fields.total_displacement(0.3 + 0j, prob, coeffs, tables, nu),
+                 lambda: homogenize.effective_from_bond(1.0, nu, data),
+                 lambda: homogenize.isotropy_check(data, E=1.0, nu=nu))
+        assert {accepts(call) for call in calls} == {-1 < nu < 1}
 
 
 class TestIsolatedHoleOracle:

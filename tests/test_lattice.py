@@ -138,6 +138,14 @@ class TestLatticeSums:
         with pytest.raises(errors.InvalidArgumentError, match=r"a\^\(\+-6\)"):
             lattice.compute_lattice_sums(lattice.build_lattice(a, 1, 1), s_max=40, shells=16)
 
+    def test_overflowing_physical_values_refused(self):
+        # a^(+-6) is a finite, normal double at a = 5.4e-52, but c_3 a^-6 and
+        # g3 = 28 c_3/a^6 overflow: reading either raises, with no overflow warning
+        sums = lattice.compute_lattice_sums(lattice.build_lattice(5.4e-52, 1, 1), s_max=3, shells=16)
+        for name in ("c", "g3"):
+            with pytest.raises(errors.InvalidArgumentError, match="out of range"):
+                getattr(sums, name)
+
     @pytest.mark.parametrize("a", [2.46, 246.0])
     def test_cell_sums_do_not_depend_on_a(self, a):
         # only the a = 1 sums are formed, whatever the lattice constant

@@ -28,7 +28,8 @@ import numpy as np
 from . import __version__
 from .errors import ConfigurationError, HexlatError, NumericalError
 from .fields import CellGeometry, _check_theta, cell_boundary_radius, total_displacement, total_stress
-from .homogenize import bond_from_effective, effective_from_bond, homogenization_data, isotropy_check
+from .homogenize import (_check_nu, bond_from_effective, effective_from_bond, homogenization_data,
+                         isotropy_check)
 from .lattice import _MAX_ORDER, build_lattice, compute_lattice_sums, lattice_from_alpha
 from .solver import LoadCase, ProblemSpec, series_tables, solve_coefficients
 from .svg import Series, line_plot
@@ -128,6 +129,9 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         LoadCase(cfg["sigma1"], cfg["sigma2"], alpha)
     for key in ("theta", "sweep_theta"):
         _check_theta(cfg[key])
+    for key in ("nu", "nu_eff"):
+        if cfg[key] is not None:
+            _check_nu(cfg[key], key)
     return cfg
 
 

@@ -1,12 +1,14 @@
 """Hexagonal lattice geometry, chiral angle, and lattice-sum constants.
 
 The period lattice is spanned by omega1 = a*sqrt(3)/2 - i*a/2 and its
-conjugate omega2.  a is a length unit: the series constants c_s and d_s
-are summed on the normalized lattice a = 1 (cell units), where the solver
-uses them, and only a reader of the physical values (c_s a^(-2s), d_s
-a^(-2s), delta, g2, g3) forms them.  Every order is its own ring sum:
-`recursion_c` is an oracle only, since seeding it with the summed c_3
-would spread c_3's truncation error (3e-9 at 64 rings) to every c_3s.
+conjugate omega2.  a is a length unit: the series constants
+c_s = (2s-1) Re sum' w^(-2s) and d_s = Re sum' conj(w) w^(-2s-1), over the
+nonzero translates w inside `shells` rings (below), are summed on the
+normalized lattice a = 1 (cell units), where the solver uses them, and
+only a reader of the physical values (c_s a^(-2s), d_s a^(-2s), delta, g2,
+g3) forms them.  Every order is its own full sum: `recursion_c` is an
+oracle only, since seeding it with the summed c_3 would spread c_3's
+truncation error (3e-9 at 64 rings) to every c_3s.
 
 The cyclic constants have a closed form.  The rotation z -> e^(i pi/3) z
 maps the lattice onto itself and omega1 onto omega2, so
@@ -44,12 +46,10 @@ __all__ = [
     "compute_lattice_sums",
 ]
 
-# Relative size below which an outer ring's contribution counts as converged.
-_RING_EPS = 1e-16
 # Largest share of c_3 or d_2 (the slowest sums) that the outermost ring may add.
 _TAIL_TOL = 1e-4
-# Largest ring count accepted: the sums build one (2*shells+1)^2 index grid
-# (at the cap about 0.2 s at s_max = 40, 0.6 s at 256, and 60 MB).
+# Largest ring count accepted: the sums hold all 3*shells*(shells+1) translates at once
+# (at the cap, on a 2-core Xeon: 0.4-0.6 s at s_max = 40, 2.3-3.6 s at 256, peak RSS 117 MB).
 _MAX_SHELLS = 512
 # Largest sum order accepted: the solver's tables are s_max x s_max, and the
 # factorial quotients of their entries overflow near s_max = 512.
@@ -210,43 +210,26 @@ class LatticeSums:
 
 
 def _raw_sums(s_max: int, shells: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Ring-by-ring sums on the a = 1 lattice (s_max >= 3) with a convergence monitor.
+    """The module docstring's c_s, d_s at a = 1 (s_max >= 3), one pass per order.
 
     Returns (c, d, tail) where tail is the relative contribution of the
-    outermost summed ring to d_2, the slowest sum (c_3's outermost share is
+    outermost ring to d_2, the slowest sum (c_3's outermost share is
     smaller at every ring count).
     """
     omega1, omega2 = _periods(1.0)
     m, n, ring = hex_ring_indices(shells)
     w = m * omega1 + n * omega2
-
+    iw2 = 1.0 / (w * w)
+    rot = np.conj(w) / w
     c = np.zeros(s_max + 1)
     d = np.zeros(s_max + 1)
-    last_d2 = 0.0  # the outermost ring's d_2 term (order 2 stays active)
-    order = np.argsort(ring, kind="stable")
-    w = w[order]
-    ring = ring[order]
-    starts = np.searchsorted(ring, np.arange(1, shells + 1))
-    bounds = np.append(starts, len(w))
-    active = np.ones(s_max + 1, dtype=bool)
-    for k in range(shells):
-        wr = w[bounds[k]:bounds[k + 1]]
-        iw2 = 1.0 / (wr * wr)
-        p = iw2.copy()
-        for s in range(2, s_max + 1):
-            p = p * iw2
-            if not active[s]:
-                continue
-            dc = (2 * s - 1) * np.real(np.sum(p))
-            dd = np.real(np.sum(np.conj(wr) * p / wr))
-            c[s] += dc
-            d[s] += dd
-            if s == 2:
-                last_d2 = dd
-            scale = max(abs(c[s]), abs(d[s]), 1e-300)
-            if max(abs(dc), abs(dd)) < _RING_EPS * scale and s > 3:
-                active[s] = False
-    return c, d, abs(last_d2) / abs(d[2])
+    p = iw2.copy()
+    for s in range(2, s_max + 1):
+        p *= iw2
+        c[s] = (2 * s - 1) * np.sum(p).real
+        d[s] = np.sum(rot * p).real
+    outer_d2 = np.sum((rot * iw2 * iw2)[ring == shells]).real
+    return c, d, abs(outer_d2) / abs(d[2])
 
 
 def recursion_c(c3: float, s_max: int) -> np.ndarray:

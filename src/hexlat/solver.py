@@ -77,11 +77,11 @@ class LoadCase:
     # dataclass allows)
     @cached_property
     def sigma_plus(self) -> float:
-        return float(0.5 * (self.sigma1 + self.sigma2))
+        return 0.5 * (float(self.sigma1) + float(self.sigma2))
 
     @cached_property
     def sigma_minus(self) -> float:
-        return float(0.5 * (self.sigma1 - self.sigma2))
+        return 0.5 * (float(self.sigma1) - float(self.sigma2))
 
     @cached_property
     def minus_rotated(self) -> tuple[complex, complex]:

@@ -164,6 +164,22 @@ class TestConfig:
         assert reason in capsys.readouterr().err
         assert not (out / "check.json").exists()
 
+    @pytest.mark.parametrize("args, key", [
+        (("field", "nu=1.0"), "nu"),
+        (("moduli", "direction=effective_to_bond", "nu_eff=1.0"), "nu_eff"),
+        (("sums", "nu=5"), "nu"),
+    ])
+    def test_poisson_ratio_refused_before_any_sum(self, tmp_path, capsys, monkeypatch, args, key):
+        # homogenize's bound (-1, 1), applied where the config is read, for every command
+        def unreached(*args, **kwargs):
+            raise AssertionError("lattice sums were computed for a refused config")
+
+        monkeypatch.setattr(cli, "compute_lattice_sums", unreached)
+        code, out = run(tmp_path, args[0], "a=1", *args[1:])
+        assert code == 2
+        assert f"Poisson ratio {key} = " in capsys.readouterr().err
+        assert not (out / "check.json").exists()
+
     def test_ring_count_capped(self, tmp_path):
         # the index grid of 10^7 rings would need petabytes
         code, out = run(tmp_path, "sums", "a=1", "shells=10000000")
@@ -913,3 +929,11 @@ class TestModuli:
             code, out = run(tmp_path / bad, "field", "a=1", bad)
             assert code == 2
             assert not (out / "check.json").exists()
+
+
+def test_one_version_number():
+    # check.json writes hexlat.__version__; the package metadata reads the same attribute
+    tomllib = pytest.importorskip("tomllib")
+    doc = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    assert "version" not in doc["project"] and "version" in doc["project"]["dynamic"]
+    assert doc["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "hexlat.__version__"}

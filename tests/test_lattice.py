@@ -216,6 +216,22 @@ class TestLatticeSums:
         want = abs(np.sum(terms[ring == shells])) / abs(np.sum(terms))
         assert tail == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("shells", [2, 5, 16])
+    def test_one_pass_matches_exactly_rounded_sums(self, shells):
+        # math.fsum over the same translates, each term a Python complex power:
+        # c_s = (2s-1) Re sum' w^-2s and d_s = Re sum' conj(w) w^-(2s+1)
+        s_max = 12
+        c, d, _ = lattice._raw_sums(s_max, shells)
+        omega1, omega2 = lattice._periods(1.0)
+        w = [int(m) * omega1 + int(n) * omega2 for m, n, _ in zip(*lattice.hex_ring_indices(shells))]
+        for s in range(2, s_max + 1):
+            want_c = math.fsum((2 * s - 1) * (v ** (-2 * s)).real for v in w)
+            want_d = math.fsum((v.conjugate() * v ** (-2 * s - 1)).real for v in w)
+            for got, want, allowed, unit in ((c[s], want_c, s % 3 == 0, c[3]),
+                                             (d[s], want_d, s % 3 == 2, d[2])):
+                scale = abs(want) if allowed else abs(unit)
+                assert abs(got - want) <= 1e-14 * scale, (s, got, want)
+
 
 def _extrapolated_gammas(spec, levels=(16, 32, 64, 128)):
     """gamma_j = N(z0 + omega_j) - N(z0) - conj(omega_j) p(z0) from direct

@@ -203,6 +203,16 @@ class TestLoadCase:
                 solver.LoadCase(2.0, 1.0, alpha)
         assert solver.LoadCase(2.0, 1.0, 8.9e307).weights[0] == 1.5
 
+    def test_numpy_scalar_stresses(self):
+        # sigma_+- are formed from Python floats: numpy scalars that overflow
+        # are refused, not warned of, and finite ones give the same load
+        with pytest.raises(errors.InvalidArgumentError):
+            solver.LoadCase(np.float64(1e308), np.float64(1e308), 0.0)
+        load = solver.LoadCase(np.float64(2.5), np.float64(-0.7), np.float64(0.3))
+        twin = solver.LoadCase(2.5, -0.7, 0.3)
+        for name in ("sigma_plus", "sigma_minus", "minus_rotated"):
+            assert repr(getattr(load, name)) == repr(getattr(twin, name)), name
+
     @given(st.floats(-5, 5), st.floats(-5, 5))
     def test_plus_minus_decomposition(self, s1, s2):
         load = solver.LoadCase(s1, s2, 0.0)

@@ -6,7 +6,7 @@ c_s = (2s-1) Re sum' w^(-2s) and d_s = Re sum' conj(w) w^(-2s-1), over the
 nonzero translates w inside `shells` rings (below), are summed on the
 normalized lattice a = 1 (cell units), where the solver uses them, and
 only a reader of the physical values (c_s a^(-2s), d_s a^(-2s), delta, g2,
-g3) forms them.  Every order is its own full sum: `recursion_c` is an
+g3) forms them.  Every order is its own sum: `recursion_c` is an
 oracle only, since seeding it with the summed c_3 would spread c_3's
 truncation error (3e-9 at 64 rings) to every c_3s.
 
@@ -17,11 +17,13 @@ vanish.  Legendre's relation delta1*omega2 - delta2*omega1 = 2 pi i then
 fixes delta_j = delta*conj(omega_j) with delta = 2 pi/(sqrt(3) a^2),
 pi over the cell area.
 
-Index truncation uses hexagonal rings max(|m|, |n|, |m+n|) <= shells.
-This region is invariant under the lattice's six-fold rotation
-(m, n) -> (-n, m+n), so the symmetry-forbidden coefficients vanish to
-machine precision instead of carrying an O(shells^-2) symmetry-breaking
-remainder, as a square index window would.
+Index truncation uses hexagonal rings max(|m|, |n|, |m+n|) <= shells: the
+six-fold rotation w -> e^(i pi/3) w, (m, n) -> (-n, m+n), maps them onto
+themselves, and its six turns of the sextant S = {m >= 1, n >= 0, m+n <=
+shells} tile them once each.  A turn multiplies w^(-2s) by e^(-2 pi i s/3)
+and keeps |w|^2 = m^2 + mn + n^2, and conj(w) w^(-2s+1) = |w|^2 w^(-2s), so
+    c_s = 6 (2s-1) Re sum_S w^(-2s),   d_(s-1) = 6 Re sum_S |w|^2 w^(-2s)
+at s = 0 (mod 3), and every other c_s and d_(s-1) is an exact zero.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ __all__ = [
 
 # Largest share of c_3 or d_2 (the slowest sums) that the outermost ring may add.
 _TAIL_TOL = 1e-4
-# Largest ring count accepted: the sums hold all 3*shells*(shells+1) translates at once
-# (at the cap, on a 2-core Xeon: 0.4-0.6 s at s_max = 40, 2.3-3.6 s at 256, peak RSS 117 MB).
+# Largest ring count accepted: the sums hold the sextant's shells*(shells+1)/2 translates at once
+# (at the cap, on a 2-core Xeon: 29-35 ms at s_max = 40, 142-170 ms at 256, peak RSS 42 MB).
 _MAX_SHELLS = 512
 # Largest sum order accepted: the solver's tables are s_max x s_max, and the
 # factorial quotients of their entries overflow near s_max = 512.
@@ -210,26 +212,24 @@ class LatticeSums:
 
 
 def _raw_sums(s_max: int, shells: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """The module docstring's c_s, d_s at a = 1 (s_max >= 3), one pass per order.
-
-    Returns (c, d, tail) where tail is the relative contribution of the
-    outermost ring to d_2, the slowest sum (c_3's outermost share is
-    smaller at every ring count).
-    """
+    """(c, d, tail): the module docstring's c_s, d_s at a = 1 (s_max >= 3), over S,
+    with p = w^(-2s) stepped by w^-2 per order, and tail the outermost ring's share
+    of d_2, the slowest sum (c_3's outermost share is smaller at every ring count)."""
+    n, ring = np.triu_indices(shells + 1, 1)
+    m = ring - n
     omega1, omega2 = _periods(1.0)
-    m, n, ring = hex_ring_indices(shells)
     w = m * omega1 + n * omega2
+    norm = m * m + m * n + n * n  # |w|^2, exact
     iw2 = 1.0 / (w * w)
-    rot = np.conj(w) / w
-    c = np.zeros(s_max + 1)
-    d = np.zeros(s_max + 1)
+    c, d = np.zeros(s_max + 2), np.zeros(s_max + 2)  # order s_max + 1 is dropped
     p = iw2.copy()
-    for s in range(2, s_max + 1):
+    for s in range(2, s_max + 2):
         p *= iw2
-        c[s] = (2 * s - 1) * np.sum(p).real
-        d[s] = np.sum(rot * p).real
-    outer_d2 = np.sum((rot * iw2 * iw2)[ring == shells]).real
-    return c, d, abs(outer_d2) / abs(d[2])
+        if s % 3 == 0:
+            c[s] = 6 * (2 * s - 1) * np.sum(p).real
+            d[s - 1] = 6 * np.sum(norm * p).real
+    outer_d2 = 6 * np.sum((norm * iw2**3)[ring == shells]).real
+    return c[:-1], d[:-1], abs(outer_d2) / abs(d[2])
 
 
 def recursion_c(c3: float, s_max: int) -> np.ndarray:
@@ -259,7 +259,7 @@ def compute_lattice_sums(
 ) -> LatticeSums:
     """Lattice sums c_s, d_s plus all cyclic constants for `spec`.
 
-    Every c_s and d_s is summed directly over `shells` rings of the a = 1
+    Every c_s and d_s is summed over a sextant of `shells` rings of the a = 1
     lattice, whatever spec.a; "direct" is the only method.  delta, delta_j
     and gamma_j take their closed form (module docstring).  No physical
     value is formed here: `LatticeSums` forms them on read.  Raises

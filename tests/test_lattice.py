@@ -65,6 +65,23 @@ class TestHexRings:
         rotated = {(-b, a + b) for a, b in pts}
         assert rotated == pts
 
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_sextant_tiles_the_rings(self, N):
+        # the sextant S = {m >= 1, n >= 0, m+n <= N} as `_raw_sums` forms it: its
+        # six turns (m, n) -> (-n, m+n) hold every point of N rings once
+        n, ring = np.triu_indices(N + 1, 1)
+        m = ring - n
+        sextant = list(zip(m.tolist(), n.tolist()))
+        assert set(sextant) == {(i, j) for i in range(1, N + 1) for j in range(N + 1 - i)}
+        assert np.array_equal(ring, np.maximum(np.maximum(np.abs(m), np.abs(n)), np.abs(m + n)))
+        turns = []
+        for _ in range(6):
+            turns += sextant
+            sextant = [(-j, i + j) for i, j in sextant]
+        hm, hn, _ = lattice.hex_ring_indices(N)
+        assert len(turns) == len(set(turns)) == 3 * N * (N + 1)
+        assert set(turns) == set(zip(hm.tolist(), hn.tolist()))
+
 
 class TestLatticeSums:
     def test_zero_patterns(self, sums):
@@ -231,6 +248,33 @@ class TestLatticeSums:
                                              (d[s], want_d, s % 3 == 2, d[2])):
                 scale = abs(want) if allowed else abs(unit)
                 assert abs(got - want) <= 1e-14 * scale, (s, got, want)
+
+    @pytest.mark.parametrize("s_max, shells", [(42, 16), (256, 4)])
+    def test_sextant_sums_match_full_ring_fsum(self, s_max, shells):
+        # the check of the six-fold symmetry that the sextant sums rest on:
+        # math.fsum over every translate of the full rings, each term a Python
+        # complex power.  The allowed orders (c_s at s = 0, d_s at s = 2 mod 3)
+        # agree to 1e-14; every other order is an exact zero, not rounding noise
+        c, d, _ = lattice._raw_sums(s_max, shells)
+        omega1, omega2 = lattice._periods(1.0)
+        w = [int(m) * omega1 + int(n) * omega2 for m, n, _ in zip(*lattice.hex_ring_indices(shells))]
+        for s in range(s_max + 1):
+            if s % 3 == 0 and s > 0:
+                want = math.fsum((2 * s - 1) * (v ** (-2 * s)).real for v in w)
+                assert abs(c[s] - want) <= 1e-14 * abs(want), (s, c[s], want)
+            else:
+                assert c[s] == 0.0, s
+            if s % 3 == 2:
+                want = math.fsum((v.conjugate() * v ** (-2 * s - 1)).real for v in w)
+                assert abs(d[s] - want) <= 1e-14 * abs(want), (s, d[s], want)
+            else:
+                assert d[s] == 0.0, s
+
+    @pytest.mark.parametrize("a", [1.0, 2.46, 246.0])
+    def test_g2_is_an_exact_zero(self, a):
+        # g2 = 20 c_2/a^4, and c_2 is a forbidden order
+        sums = lattice.compute_lattice_sums(lattice.build_lattice(a, 1, 1), s_max=40, shells=32)
+        assert sums.g2 == 0.0
 
 
 def _extrapolated_gammas(spec, levels=(16, 32, 64, 128)):

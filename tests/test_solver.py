@@ -443,6 +443,26 @@ class TestSolution:
         assert mags[8] < 1e-6 * mags[0]
 
 
+class TestSymmetryClasses:
+    """The six-fold rotation fixes the sigma_+ load, so its basis column
+    carries only alpha_k with k = 0 and beta_k with k = 1 (mod 3); it turns
+    the sigma_- loads by exp(-+2i pi/3), so their columns carry the other
+    classes."""
+
+    @pytest.mark.parametrize("a", [1.0, 246.0])
+    @pytest.mark.parametrize("shells", [48, 64])
+    def test_unit_load_basis_obeys_its_classes(self, a, shells):
+        sums = lattice.compute_lattice_sums(lattice.build_lattice(a, 1, 1), s_max=40, shells=shells)
+        for ratio in (0.05, 0.2, 0.3, 0.4):
+            for K in (16, 24, 32):
+                ka, kb = np.arange(1, K + 1) % 3, np.arange(1, K + 2) % 3
+                for i, u in enumerate(solver.series_tables(sums, ratio * a, K).basis):
+                    plus = i == 0  # UNIT_LOADS[0] is sigma_+, the others sigma_-
+                    off = np.concatenate([u.alpha[(ka != 0) == plus], u.beta[(kb != 1) == plus]])
+                    scale = max(np.max(np.abs(u.alpha)), np.max(np.abs(u.beta)))
+                    assert np.max(np.abs(off)) <= 1e-12 * scale, (ratio, K, i)
+
+
 class TestDiluteLimit:
     def test_coefficients_approach_isolated_hole(self, spec, sums):
         tables = solver.series_tables(sums, 1e-3, 16)

@@ -226,8 +226,9 @@ def cmd_sums(cfg: dict, out: Path) -> dict:
 
 
 def _lattice_sums(cfg: dict, spec):
-    """Lattice sums to the configured order, and at least to the K+2 the solve needs."""
-    return compute_lattice_sums(spec, s_max=max(cfg["s_max"], cfg["K"] + 2), shells=cfg["shells"])
+    """Lattice sums to s_max, and to the 2K the solve reads (K > 128 reads orders > 256 as 0)."""
+    s_max = max(cfg["s_max"], min(2 * cfg["K"], _MAX_ORDER))
+    return compute_lattice_sums(spec, s_max=s_max, shells=cfg["shells"])
 
 
 def cmd_solve(cfg: dict, out: Path) -> dict:

@@ -53,7 +53,7 @@ _TAIL_TOL = 1e-4
 # Largest ring count accepted: the sums hold the sextant's shells*(shells+1)/2 translates at once
 # (at the cap, on a 2-core Xeon: 29-35 ms at s_max = 40, 142-170 ms at 256, peak RSS 42 MB).
 _MAX_SHELLS = 512
-# Largest sum order accepted: the solver's tables are s_max x s_max, and the
+# Largest sum order accepted: the lambda-free cell tables are s_max x s_max, and the
 # factorial quotients of their entries overflow near s_max = 512.
 _MAX_ORDER = 256
 

@@ -16,6 +16,9 @@ The system matrices do not depend on the load, and every coefficient
 is real-linear in the load weights (sigma_+, sigma_- cos 2alpha,
 sigma_- sin 2alpha): the three `UNIT_LOADS` are solved once per tables
 (`SeriesTables.basis`), and each load weights that basis and is gated.
+The lattice's 60 degree turn fixes sigma_+ and turns sigma_- by
+exp(-+2i pi/3): the systems split into the class k = 0 (mod 3) of alpha_k,
+which sigma_+ alone loads, and the rest, and each unit load solves its own.
 
 Sign conventions that the source derivation leaves ambiguous (the
 b*delta_j1 coupling in the imaginary system and the index on the
@@ -126,9 +129,9 @@ class ProblemSpec:
 class SeriesTables:
     """Scaled Laurent table and the d+- system matrices for one hole radius.
 
-    rhat is (T x T) with T = s_max (at least K + 2), rows/columns indexed
-    from 0: rhat[j, k] = mu^(2j+2k+2) R[j, k], mu = lam/a, on the
-    lattice's lambda-free table R (`LatticeSums.cell_tables`).
+    rhat is the (K+1)-square corner, indexed from 0, that the systems and
+    the beta relation read (c_s to s = 2K, d_s to 2K-1): rhat[j, k] =
+    mu^(2j+2k+2) R[j, k], mu = lam/a, of the lambda-free `LatticeSums.cell_tables`.
 
     dplus/dminus are the (K x K) weighted matrices mu^(2j+2k) d+-, with
     row/column j-1 for j = 1..K; all are dimensionless.
@@ -141,7 +144,8 @@ class SeriesTables:
       condition number (singular tables raise NumericalError on every
       solve, as a raising cached_property stores nothing);
     - basis: the solutions of the three UNIT_LOADS, ungated (residual
-      NaN); a load's solution is its weights applied to them.
+      NaN), one class-block solve each (every off-class alpha_k, beta_k an
+      exact 0.0); a load's solution is its weights applied to them.
     """
 
     sums: LatticeSums
@@ -179,21 +183,23 @@ class SeriesTables:
         K, b = self.K, self.b
         Mr, Mi, cond = self.systems
         col, row = self.rhat[:K, 0], self.rhat[0, :K]
-        # the unit loads' right-hand sides as columns
-        sp, sm_cos, sm_sin = np.array([load.weights for load in UNIT_LOADS]).T
-        rhs_r = -np.outer(col, sp) / (b - 1.0)
-        rhs_r[0] -= sm_cos
-        rhs_i = np.zeros((K, 3))
-        rhs_i[0] = -sm_sin
+        # sigma_+ solves Mr on its class (col lies there), sigma_- cos and sigma_- sin
+        # solve Mr and Mi on the rest (-e_1); every other alpha_k stays an exact 0
+        plus = np.arange(1, K + 1) % 3 == 0
+        rest = ~plus
+        minus_e1 = -np.eye(1, K - K // 3)[0]
+        alpha = np.zeros((3, K), dtype=complex)  # row i: UNIT_LOADS[i], as in every array below
         try:
-            ar = np.linalg.solve(Mr, rhs_r)
-            ai = np.linalg.solve(Mi, rhs_i)
+            alpha.real[0, plus] = np.linalg.solve(Mr[np.ix_(plus, plus)], -col[plus] / (b - 1.0))
+            alpha.real[1, rest] = np.linalg.solve(Mr[np.ix_(rest, rest)], minus_e1)
+            alpha.imag[2, rest] = np.linalg.solve(Mi[np.ix_(rest, rest)], minus_e1)
         except np.linalg.LinAlgError as exc:  # factorisation breakdown (non-finite entries)
             raise NumericalError(f"truncated system cannot be solved: {exc}") from exc
-        alpha = (ar + 1j * ai).T  # row i: UNIT_LOADS[i], as in every array below
-        # beta_(j+1) = (2j+1) alpha_j + sum_k mu^(2j+2k) R[j, k-1] conj(alpha_k)
+        # beta_1 from the sigma_+ balance (weights sp), beta_(j+1) = (2j+1) alpha_j +
+        # sum_k mu^(2j+2k) R[j, k-1] conj(alpha_k); off its class each product holds a 0
+        sp = np.array([1.0, 0.0, 0.0])
         beta = np.column_stack([
-            (-sp - 2.0 * (row @ ar)) / (b - 1.0),
+            (-sp - 2.0 * (alpha.real @ row)) / (b - 1.0),
             (2 * np.arange(1, K + 1) + 1) * alpha + np.conj(alpha) @ self.rhat[1 : K + 1, :K].T,
         ])
         alpha0, beta0 = b / 2.0 * beta[:, 0], b * np.conj(alpha[:, 0])
@@ -261,9 +267,8 @@ def series_tables(sums: LatticeSums, lam: float, K: int) -> SeriesTables:
             f"truncation K = {K} is too large for the hole radius lambda = {lam:g}: "
             f"(lambda/a)^(-{2 * K}) = {mu:g}^(-{2 * K}) is not a finite double"
         ) from None
-    T = sums.s_max  # at least K + 2 by the check above
-    D = mu ** (2.0 * np.arange(T) + 1.0)
-    rhat, rhohat = (D[:, None] * table * D for table in sums.cell_tables)
+    D = mu ** (2.0 * np.arange(K + 1) + 1.0)  # s_max >= K + 2 by the check above
+    rhat, rhohat = (D[:, None] * table[: K + 1, : K + 1] * D for table in sums.cell_tables)
 
     b = 2 * np.pi * lam**2 / (np.sqrt(3) * a**2)
     # mu^(2j+2k) d+-[j, k] for j, k = 1..K; the cross sums run over m = 1..K
@@ -274,7 +279,7 @@ def series_tables(sums: LatticeSums, lam: float, K: int) -> SeriesTables:
     return SeriesTables(
         sums=sums, lam=lam, K=K, rhat=rhat, b=b,
         dplus=base + cross, dminus=base - cross,
-        powers=np.concatenate([np.arange(T), -np.arange(1, K + 1)]),
+        powers=np.concatenate([np.arange(sums.s_max), -np.arange(1, K + 1)]),
     )
 
 
@@ -283,8 +288,9 @@ def solve_coefficients(prob: ProblemSpec, tables: SeriesTables) -> PotentialCoef
     the unit-load basis of the tables, then gated on their rim traction
     (ConsistencyError unless within 1e-6 of the load scale; NaN fails).
     A solution or rim spectrum that overflows a double raises NumericalError."""
-    if tables.K != prob.K or tables.lam != prob.lam:
-        raise ConfigurationError("tables were built for a different (lam, K)")
+    got, want = tables.sums.spec, prob.spec  # by the periods: spec.alpha is a load angle
+    if (tables.K, tables.lam, got.omega1, got.omega2) != (prob.K, prob.lam, want.omega1, want.omega2):
+        raise ConfigurationError("tables were built for a different lattice, lam or K")
     from . import fields  # deferred: fields depends on this module's types
 
     (u0, u1, u2), (w0, w1, w2) = tables.basis, prob.load.weights
@@ -326,18 +332,11 @@ def unit_load_coefficients(
 ) -> tuple[PotentialCoefficients, PotentialCoefficients]:
     """Coefficient sets for the two unit loads at load angle 0.
 
-    `plus` solves (sigma_+, sigma_-) = (1, 0) and `minus` (0, 1); these
-    are the inputs to homogenization.  The structural zeros alpha_1+ = 0
-    and beta_1- = 0 are verified.  The zeros beta_0+ and alpha_0- follow:
-    the basis sets them to b conj(alpha_1+) and (b/2) beta_1-, with b < 1.
+    `plus` solves (sigma_+, sigma_-) = (1, 0) and `minus` (0, 1), the inputs to
+    homogenization.  Their structural zeros alpha_1+, beta_1-, beta_0+ and alpha_0-
+    lie off their load's class, so they hold by construction (`SeriesTables.basis`).
+    Raises ConfigurationError for sums of another lattice than spec.
     """
     tables = series_tables(sums, lam, K)
-    plus, minus = (
-        solve_coefficients(ProblemSpec(spec, lam, load, K), tables) for load in UNIT_LOADS[:2]
-    )
-    if abs(plus.alpha[0]) > 1e-10 or abs(minus.beta[0]) > 1e-10:
-        raise ConsistencyError(
-            f"unit loads miss their structural zeros: "
-            f"alpha1+ = {plus.alpha[0]:.3e}, beta1- = {minus.beta[0]:.3e}"
-        )
-    return plus, minus
+    return tuple(solve_coefficients(ProblemSpec(spec, lam, load, K), tables)
+                 for load in UNIT_LOADS[:2])

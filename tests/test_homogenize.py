@@ -133,6 +133,12 @@ class TestCaching:
         with pytest.raises(TypeError):
             homogenize.homogenization_data(spec, 0.16)
 
+    def test_sums_of_another_lattice_rejected(self, sums):
+        # the a = 1 sums cannot stand for a = 2: the record would carry a = 2
+        # with the a = 1 lattice's delta and a 0.2a hole's coefficients
+        with pytest.raises(errors.ConfigurationError, match="lattice"):
+            homogenize.homogenization_data(lattice.build_lattice(2.0, 1, 0), 0.2, sums=sums)
+
 
 def _oracle_moduli(data, nu):
     """(E_eff, nu_eff) for E = 1 from the 4x4 jump system's kappas alone."""

@@ -119,6 +119,16 @@ class TestValidation:
         with pytest.raises(errors.ConfigurationError):
             solver.solve_coefficients(prob, tables)
 
+    def test_tables_of_another_lattice_rejected(self, tables):
+        # a 0.2 hole on the a = 2 lattice is a 0.1a hole, not the a = 1 tables' 0.2a
+        other = lattice.build_lattice(2.0, 1, 0)
+        prob = solver.ProblemSpec(other, 0.2, solver.LoadCase(2.0, 1.0, 0.3), 16)
+        with pytest.raises(errors.ConfigurationError, match="lattice"):
+            solver.solve_coefficients(prob, tables)
+        # the chirality is a load angle: a lattice of the same periods is accepted
+        same = lattice.build_lattice(1.0, 2, 1)
+        solver.solve_coefficients(solver.ProblemSpec(same, 0.2, prob.load, 16), tables)
+
 
 class TestTables:
     @pytest.mark.parametrize("lam, K", [(0.2, 16), (0.45, 38), (1e-3, 16)])
@@ -130,8 +140,10 @@ class TestTables:
         assert not (R.flags.writeable or P.flags.writeable)
         cell = _oracle_quotients(sums.c_cell, sums.d_cell, sums.s_max)
         assert np.array_equal(R, cell[0]) and np.array_equal(P, cell[1])
-        s = np.add.outer(np.arange(len(r)), np.arange(len(r))) + 1
-        assert np.allclose(t.rhat, lam ** (2.0 * s) * r, rtol=1e-14, atol=0)
+        # only the (K+1)-square corner that the systems and the beta relation read
+        s = np.add.outer(np.arange(K + 1), np.arange(K + 1)) + 1
+        assert t.rhat.shape == (K + 1, K + 1)
+        assert np.allclose(t.rhat, lam ** (2.0 * s) * r[: K + 1, : K + 1], rtol=1e-14, atol=0)
         # the solver's matrices carry the weights lam^(2j+2k), j, k = 1..K
         jk = 2.0 * np.add.outer(np.arange(1, K + 1), np.arange(1, K + 1))
         for got, ref in ((t.dplus, dplus), (t.dminus, dminus)):
@@ -310,16 +322,22 @@ class TestBasis:
         assert (gated == 0) == (K == 4)
 
     @pytest.mark.parametrize("n_loads", [1, 7])
-    def test_one_solve_per_system_for_any_number_of_loads(self, spec, sums, monkeypatch, n_loads):
-        calls = []
+    def test_one_block_solve_per_unit_load_for_any_number_of_loads(self, spec, sums, monkeypatch,
+                                                                   n_loads):
+        # three solves per tables, each unit load on its class block: sigma_+
+        # on Mr's k = 0 (mod 3) block, sigma_- cos and sin on the rest of Mr, Mi
         solve = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve", lambda m, rhs: calls.append(m) or solve(m, rhs))
-        tables = solver.series_tables(sums, 0.2, 16)
-        for ang in np.linspace(0.0, np.pi, n_loads):
-            prob = solver.ProblemSpec(spec, 0.2, solver.LoadCase(2.0, -1.0, ang), 16)
-            solver.solve_coefficients(prob, tables)
-        assert len(calls) == 2
-        assert calls[0] is tables.systems[0] and calls[1] is tables.systems[1]
+        for K in (16, 18):
+            calls = []
+            monkeypatch.setattr(np.linalg, "solve", lambda m, rhs: calls.append(m) or solve(m, rhs))
+            tables = solver.series_tables(sums, 0.2, K)
+            for ang in np.linspace(0.0, np.pi, n_loads):
+                prob = solver.ProblemSpec(spec, 0.2, solver.LoadCase(2.0, -1.0, ang), K)
+                solver.solve_coefficients(prob, tables)
+            plus, (Mr, Mi, _) = np.arange(1, K + 1) % 3 == 0, tables.systems
+            want = [Mr[np.ix_(plus, plus)], Mr[np.ix_(~plus, ~plus)], Mi[np.ix_(~plus, ~plus)]]
+            assert [m.shape for m in calls] == [(n, n) for n in (K // 3, K - K // 3, K - K // 3)]
+            assert all(np.array_equal(got, ref) for got, ref in zip(calls, want))
 
     def test_unit_solutions_are_ungated_and_kept(self, tables):
         units = tables.basis
@@ -447,7 +465,9 @@ class TestSymmetryClasses:
     """The six-fold rotation fixes the sigma_+ load, so its basis column
     carries only alpha_k with k = 0 and beta_k with k = 1 (mod 3); it turns
     the sigma_- loads by exp(-+2i pi/3), so their columns carry the other
-    classes."""
+    classes.  The off-class coefficients are exact zeros by construction:
+    each load solves its own class block, and every product of the beta
+    relation off the class holds an exact zero."""
 
     @pytest.mark.parametrize("a", [1.0, 246.0])
     @pytest.mark.parametrize("shells", [48, 64])
@@ -459,8 +479,9 @@ class TestSymmetryClasses:
                 for i, u in enumerate(solver.series_tables(sums, ratio * a, K).basis):
                     plus = i == 0  # UNIT_LOADS[0] is sigma_+, the others sigma_-
                     off = np.concatenate([u.alpha[(ka != 0) == plus], u.beta[(kb != 1) == plus]])
-                    scale = max(np.max(np.abs(u.alpha)), np.max(np.abs(u.beta)))
-                    assert np.max(np.abs(off)) <= 1e-12 * scale, (ratio, K, i)
+                    assert np.all(off == 0.0), (ratio, K, i)
+                    # and the class itself is loaded
+                    assert np.abs(u.alpha[(ka != 0) != plus]).max() > 0, (ratio, K, i)
 
 
 class TestDiluteLimit:

@@ -120,7 +120,9 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     for key in _COUNT_KEYS:
         if not 2 <= cfg[key] <= _MAX_SAMPLES:
             raise ConfigurationError(f"{key} must lie in [2, {_MAX_SAMPLES}], got {cfg[key]}")
-    if cfg["K"] + 2 > _MAX_ORDER:  # the solve needs lattice sums to order K + 2
+    # K <= 254 is series_tables' floor of K + 2 orders at the 256-order cap; the
+    # CLI forms the sums to min(2K, 256) (`_lattice_sums`)
+    if cfg["K"] + 2 > _MAX_ORDER:
         raise ConfigurationError(f"K must be at most {_MAX_ORDER - 2}, got {cfg['K']}")
     # checked for every command, before any lattice sum is formed, by the rules of the
     # functions that take them; the config keeps (and check.json echoes) the list strings

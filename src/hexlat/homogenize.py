@@ -95,8 +95,8 @@ def homogenization_data(
     sums: LatticeSums,
 ) -> HomogenizationData:
     """Unit-load coefficient set for one (lattice, hole radius) pair.  The
-    four are real: both unit loads leave the imaginary system's right-hand
-    side exactly zero."""
+    four are real: both unit loads give the basis's one imaginary element,
+    sigma_- sin, the weight 0."""
     plus, minus = unit_load_coefficients(spec, lam, K=K, sums=sums)
     return HomogenizationData(
         a=spec.a,

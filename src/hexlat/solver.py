@@ -1,10 +1,10 @@
-"""Laurent coefficient tables and the truncated linear systems.
+"""Laurent coefficient tables and the truncated linear system.
 
-The boundary condition on the hole rim is reduced to two real K x K
-systems for the real and imaginary parts of the alpha coefficients.
-The remaining coefficients follow in closed form: beta_1 from the
-sigma_+ balance, beta_{j+1} from the alpha's, and alpha_0/beta_0 from
-the cyclic-constant relations.
+The boundary condition on the hole rim is reduced to a real K x K system
+Mr for the real parts of the alpha coefficients.  The remaining
+coefficients follow in closed form: beta_1 from the sigma_+ balance,
+beta_{j+1} from the alpha's, and alpha_0/beta_0 from the cyclic-constant
+relations.
 
 Everything here is in cell units (lengths over a): the series are in
 zeta = z/a and the hole radius enters as mu = lam/a alone.  Each lam is
@@ -12,20 +12,20 @@ a diagonal scaling rhat = D R D, D = diag(mu^(2j+1)), of the lattice's
 one lambda-free table R (`LatticeSums.cell_tables`), as
 mu^(2s) = mu^(2j+1) mu^(2k+1) at order s = j+k+1.
 
-The system matrices do not depend on the load, and every coefficient
-is real-linear in the load weights (sigma_+, sigma_- cos 2alpha,
-sigma_- sin 2alpha): the three `UNIT_LOADS` are solved once per tables
-(`SeriesTables.basis`), and each load weights that basis and is gated.
-The lattice's 60 degree turn fixes sigma_+ and turns sigma_- by
-exp(-+2i pi/3): the systems split into the class k = 0 (mod 3) of alpha_k,
-which sigma_+ alone loads, and the rest, and each unit load solves its own.
-
-Sign conventions that the source derivation leaves ambiguous (the
-b*delta_j1 coupling in the imaginary system and the index on the
-beta_{j+1} relation) are pinned by the rim spectrum in `fields`: the
-assembled solution must cancel the imposed rim-traction modes -K+1..K
-to rounding accuracy, and does; with either convention flipped they
-stay at 2e-3 to 0.25 of the load (lam = a/5, K = 16).
+Mr does not depend on the load, and every coefficient is real-linear in
+the load weights (sigma_+, sigma_- cos 2alpha, sigma_- sin 2alpha): the
+three `UNIT_LOADS` are solved once per tables (`SeriesTables.basis`), and
+each load weights that basis and is gated.  The lattice's 60 degree turn
+fixes sigma_+ and turns sigma_- by exp(-+2i pi/3).  So Mr splits into the
+class k = 0 (mod 3) of alpha_k, which sigma_+ alone loads, and the rest.
+And the turn maps the sigma_- cos load onto the sigma_- sin one: the
+imaginary parts' system is D Mr D on the rest, D = +1 on k = 1 and -1 on
+k = 2 (mod 3), so its b*delta_j1 term is -b too and its alpha is i D
+times sigma_- cos's.  The index on the beta_{j+1} relation, which the
+source derivation leaves ambiguous, is pinned by the rim spectrum in
+`fields`: the assembled solution must cancel the imposed rim-traction
+modes -K+1..K to rounding accuracy, and does; with the index flipped
+they stay at 2e-3 of the load or more (lam = a/5, K = 16).
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ __all__ = [
     "unit_load_coefficients",
 ]
 
-# Largest condition number accepted for the truncated systems.
+# Largest 2-norm condition number accepted for either class block of Mr.
 _COND_LIMIT = 1e12
 # Rim-traction residual accepted from a converged solution, relative to load.
 _RESIDUAL_TOL = 1e-6
@@ -127,24 +127,25 @@ class ProblemSpec:
 
 @dataclass(frozen=True, eq=False)
 class SeriesTables:
-    """Scaled Laurent table and the d+- system matrices for one hole radius.
+    """Scaled Laurent table and the system matrix for one hole radius.
 
-    rhat is the (K+1)-square corner, indexed from 0, that the systems and
+    rhat is the (K+1)-square corner, indexed from 0, that the system and
     the beta relation read (c_s to s = 2K, d_s to 2K-1): rhat[j, k] =
     mu^(2j+2k+2) R[j, k], mu = lam/a, of the lambda-free `LatticeSums.cell_tables`.
 
-    dplus/dminus are the (K x K) weighted matrices mu^(2j+2k) d+-, with
-    row/column j-1 for j = 1..K; all are dimensionless.
+    dminus is the (K x K) weighted matrix mu^(2j+2k) d-, with row/column
+    j-1 for j = 1..K; all are dimensionless.
 
     powers are the series rows' exponents p of zeta^(2p), zeta = z0/a.
 
     Two load-independent parts are formed on first use and kept for
     the life of the tables, shared by every solution on them:
-    - systems: the real and imaginary system matrices and their largest
-      condition number (singular tables raise NumericalError on every
-      solve, as a raising cached_property stores nothing);
+    - systems: the real system Mr's two class blocks, k = 0 (mod 3) and
+      the rest (read-only), and the larger of their 2-norm condition
+      numbers (singular tables raise NumericalError on every solve, as a
+      raising cached_property stores nothing);
     - basis: the solutions of the three UNIT_LOADS, ungated (residual
-      NaN), one class-block solve each (every off-class alpha_k, beta_k an
+      NaN), from one solve per block (every off-class alpha_k, beta_k an
       exact 0.0); a load's solution is its weights applied to them.
     """
 
@@ -153,7 +154,6 @@ class SeriesTables:
     K: int
     rhat: np.ndarray
     b: float
-    dplus: np.ndarray
     dminus: np.ndarray
     powers: np.ndarray
 
@@ -161,46 +161,44 @@ class SeriesTables:
     def systems(self) -> tuple[np.ndarray, np.ndarray, float]:
         K, b, rhat = self.K, self.b, self.rhat
         col, row = rhat[:K, 0], rhat[0, :K]  # mu^(2j) R[j-1, 0] and mu^(2k) R[0, k-1]
-        # real parts: coupled to beta through the sigma_+ balance
+        # real parts: coupled to beta through the sigma_+ balance; the classes meet in exact 0s
         Mr = np.eye(K) + self.dminus + (2.0 / (b - 1.0)) * np.outer(col, row)
         Mr[0, 0] -= b
-        # imaginary parts: decoupled homogeneous-looking system
-        Mi = np.eye(K) - self.dplus
-        Mi[0, 0] -= b
+        plus = np.arange(1, K + 1) % 3 == 0
+        blocks = Mr[np.ix_(plus, plus)], Mr[np.ix_(~plus, ~plus)]
         try:
-            cond = max(float(np.linalg.cond(Mr)), float(np.linalg.cond(Mi)))
+            cond = float(np.max([np.linalg.cond(m) for m in blocks]))
         except np.linalg.LinAlgError as exc:  # SVD breakdown (non-finite entries)
             raise NumericalError(f"truncated system cannot be solved: {exc}") from exc
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise NumericalError(
                 f"truncated system is numerically singular (cond ~ {cond:.3e})", condition=cond
             )
-        Mr.flags.writeable = Mi.flags.writeable = False
-        return Mr, Mi, cond
+        blocks[0].flags.writeable = blocks[1].flags.writeable = False
+        return *blocks, cond
 
     @cached_property
     def basis(self) -> tuple[PotentialCoefficients, ...]:
         K, b = self.K, self.b
-        Mr, Mi, cond = self.systems
+        plus_block, rest_block, cond = self.systems
         col, row = self.rhat[:K, 0], self.rhat[0, :K]
-        # sigma_+ solves Mr on its class (col lies there), sigma_- cos and sigma_- sin
-        # solve Mr and Mi on the rest (-e_1); every other alpha_k stays an exact 0
-        plus = np.arange(1, K + 1) % 3 == 0
-        rest = ~plus
-        minus_e1 = -np.eye(1, K - K // 3)[0]
+        # sigma_+ solves its class (col lies there) and sigma_- cos the rest (-e_1); sigma_- sin,
+        # its turn, is D times it there (module docstring); every other alpha_k stays an exact 0
+        k = np.arange(1, K + 1)
+        plus, rest = k % 3 == 0, k % 3 != 0
         alpha = np.zeros((3, K), dtype=complex)  # row i: UNIT_LOADS[i], as in every array below
         try:
-            alpha.real[0, plus] = np.linalg.solve(Mr[np.ix_(plus, plus)], -col[plus] / (b - 1.0))
-            alpha.real[1, rest] = np.linalg.solve(Mr[np.ix_(rest, rest)], minus_e1)
-            alpha.imag[2, rest] = np.linalg.solve(Mi[np.ix_(rest, rest)], minus_e1)
+            alpha.real[0, plus] = np.linalg.solve(plus_block, -col[plus] / (b - 1.0))
+            alpha.real[1, rest] = np.linalg.solve(rest_block, -np.eye(1, K - K // 3)[0])
         except np.linalg.LinAlgError as exc:  # factorisation breakdown (non-finite entries)
             raise NumericalError(f"truncated system cannot be solved: {exc}") from exc
+        alpha.imag[2, rest] = np.where(k[rest] % 3 == 1, 1.0, -1.0) * alpha.real[1, rest]
         # beta_1 from the sigma_+ balance (weights sp), beta_(j+1) = (2j+1) alpha_j +
         # sum_k mu^(2j+2k) R[j, k-1] conj(alpha_k); off its class each product holds a 0
         sp = np.array([1.0, 0.0, 0.0])
         beta = np.column_stack([
             (-sp - 2.0 * (alpha.real @ row)) / (b - 1.0),
-            (2 * np.arange(1, K + 1) + 1) * alpha + np.conj(alpha) @ self.rhat[1 : K + 1, :K].T,
+            (2 * k + 1) * alpha + np.conj(alpha) @ self.rhat[1 : K + 1, :K].T,
         ])
         alpha0, beta0 = b / 2.0 * beta[:, 0], b * np.conj(alpha[:, 0])
 
@@ -248,7 +246,7 @@ class PotentialCoefficients:
 
 
 def series_tables(sums: LatticeSums, lam: float, K: int) -> SeriesTables:
-    """Scale the lattice's tables to hole radius lam; build the system matrices.
+    """Scale the lattice's tables to hole radius lam; build the system matrix.
 
     Raises InvalidArgumentError unless 0 < lam < a/2, K >= 4 and
     (lam/a)^(-2K), by which the rim arbiter scales the series' most
@@ -271,14 +269,13 @@ def series_tables(sums: LatticeSums, lam: float, K: int) -> SeriesTables:
     rhat, rhohat = (D[:, None] * table[: K + 1, : K + 1] * D for table in sums.cell_tables)
 
     b = 2 * np.pi * lam**2 / (np.sqrt(3) * a**2)
-    # mu^(2j+2k) d+-[j, k] for j, k = 1..K; the cross sums run over m = 1..K
+    # mu^(2j+2k) d-[j, k] for j, k = 1..K; the cross sum runs over m = 1..K
     jj = np.arange(1, K + 1)
-    base = (1 - 2 * jj)[:, None] * rhat[1 : K + 1, :K] - (1 + 2 * jj) * rhat[:K, 1 : K + 1]
-    base += rhohat[:K, :K]
-    cross = rhat[:K, 1 : K + 1] @ rhat[1 : K + 1, :K]
+    dminus = (1 - 2 * jj)[:, None] * rhat[1 : K + 1, :K] - (1 + 2 * jj) * rhat[:K, 1 : K + 1]
+    dminus += rhohat[:K, :K]
+    dminus -= rhat[:K, 1 : K + 1] @ rhat[1 : K + 1, :K]
     return SeriesTables(
-        sums=sums, lam=lam, K=K, rhat=rhat, b=b,
-        dplus=base + cross, dminus=base - cross,
+        sums=sums, lam=lam, K=K, rhat=rhat, b=b, dminus=dminus,
         powers=np.concatenate([np.arange(sums.s_max), -np.arange(1, K + 1)]),
     )
 

@@ -196,6 +196,66 @@ class TestPeriodicity:
             assert abs(psi_t - (psi - np.conj(w) * phi_d)) < 1e-10
 
 
+class TestTurnAndMirror:
+    """The lattice is fixed by the 60 degree turn and by the mirror
+    z -> conj(z).  Turning (mirroring) the point and the load angle together
+    therefore turns (mirrors) the fields: sigma_r and sigma_theta are
+    unchanged, tau_rtheta too under the turn and of the other sign under
+    the mirror; 2G (u + iv) turns by exp(i pi/3) and is conjugated by the
+    mirror.  Seeded points with lam < |z| < a/sqrt(3) (near the vertices
+    they fold into the next cell) and seeded loads, to 1e-12 of the load."""
+
+    @staticmethod
+    def _cases(ratio, K, seed):
+        """(polar points, solve) for 40 seeded points and 3 seeded loads at
+        a = 1; solve(load) gives that load's polar stress and 2G (u + iv)."""
+        spec = lattice.build_lattice(1.0, 1, 1)
+        tables = solver.series_tables(lattice.compute_lattice_sums(spec, s_max=2 * K, shells=48), ratio, K)
+        rng = np.random.default_rng(seed)
+        r = np.sqrt(rng.uniform(ratio**2, 1.0 / 3.0, 40))
+        theta = rng.uniform(-np.pi, np.pi, 40)
+        loads = [solver.LoadCase(*rng.uniform(-3.0, 3.0, 2), rng.uniform(-np.pi, np.pi)) for _ in range(3)]
+
+        def solve(load):
+            prob = solver.ProblemSpec(spec, ratio, load, K)
+            coeffs = solver.solve_coefficients(prob, tables)
+
+            def stress(r, theta):
+                f = fields.total_stress(r, theta, prob, coeffs, tables)
+                return np.array([f.sigma_r, f.tau_rtheta, f.sigma_theta])
+
+            return stress, lambda z: complex(*fields.total_displacement(z, prob, coeffs, tables, 0.3))
+
+        return list(zip(r, theta)), loads, solve
+
+    @pytest.mark.parametrize("ratio, K, seed", [(0.2, 16, 12), (0.4, 24, 24)])
+    def test_sixty_degree_turn(self, ratio, K, seed):
+        points, loads, solve = self._cases(ratio, K, seed)
+        turn = cmath.exp(1j * np.pi / 3)
+        for load in loads:
+            scale = max(abs(load.sigma1), abs(load.sigma2))
+            (stress, disp), (t_stress, t_disp) = solve(load), solve(
+                dataclasses.replace(load, alpha=load.alpha + np.pi / 3))
+            for r, theta in points:
+                z = cmath.rect(r, theta)
+                gap = t_stress(r, theta + np.pi / 3) - stress(r, theta)
+                assert np.max(np.abs(gap)) <= 1e-12 * scale, (z, load)
+                assert abs(t_disp(cmath.rect(r, theta + np.pi / 3)) - turn * disp(z)) <= 1e-12 * scale, (z, load)
+
+    @pytest.mark.parametrize("ratio, K, seed", [(0.2, 16, 13), (0.4, 24, 25)])
+    def test_mirror(self, ratio, K, seed):
+        points, loads, solve = self._cases(ratio, K, seed)
+        for load in loads:
+            scale = max(abs(load.sigma1), abs(load.sigma2))
+            (stress, disp), (m_stress, m_disp) = solve(load), solve(
+                dataclasses.replace(load, alpha=-load.alpha))
+            for r, theta in points:
+                z = cmath.rect(r, theta)
+                gap = m_stress(r, -theta) - stress(r, theta) * [1, -1, 1]
+                assert np.max(np.abs(gap)) <= 1e-12 * scale, (z, load)
+                assert abs(m_disp(z.conjugate()) - disp(z).conjugate()) <= 1e-12 * scale, (z, load)
+
+
 class TestEvaluator:
     def test_matches_per_point_formula(self, spec, solved, tables):
         prob, coeffs = solved

@@ -3,6 +3,7 @@
 import dataclasses
 import warnings
 from math import lgamma
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,15 +49,34 @@ def _oracle_tables(sums, lam, K):
     return r, rho, dplus, dminus
 
 
+def _oracle_systems(tables):
+    """The full real and imaginary K x K systems, from the per-entry
+    formulas of the cell-unit tables weighted by mu^(2j+2k), mu = lam/a:
+    Mr = I + d- + 2/(b-1) col row^T and Mi = I - d+, each less b at [0, 0]."""
+    K, b, sums = tables.K, tables.b, tables.sums
+    mu = tables.lam / sums.spec.a
+    cell = SimpleNamespace(c=sums.c_cell, d=sums.d_cell, s_max=sums.s_max)
+    _, _, dplus, dminus = _oracle_tables(cell, mu, K)
+    w = mu ** (2.0 * np.add.outer(np.arange(1, K + 1), np.arange(1, K + 1)))
+    col, row = tables.rhat[:K, 0], tables.rhat[0, :K]
+    Mr = np.eye(K) + w * dminus[1:, 1:] + (2.0 / (b - 1.0)) * np.outer(col, row)
+    Mi = np.eye(K) - w * dplus[1:, 1:]
+    Mr[0, 0] -= b
+    Mi[0, 0] -= b
+    return Mr, Mi
+
+
 def _per_load_oracle(prob, tables):
-    """One load solved on its own, independent of the unit-load basis: the
-    two real systems with this load's right-hand sides, the closed-form
+    """One load solved on its own, independent of the unit-load basis and
+    of `SeriesTables.systems`: the full real and imaginary systems
+    (`_oracle_systems`) with this load's right-hand sides, the closed-form
     beta/alpha0/beta0 chains and the collapse of the lattice's lambda-free
     tables R, P onto the coefficients with the weights mu^(2k), mu = lam/a.
-    Not gated: the residual is NaN."""
+    Not gated: the residual is NaN.  The condition is the larger of those
+    of Mr's two class blocks, k = 0 (mod 3) and the rest."""
     K, b = prob.K, tables.b
     R, P = tables.sums.cell_tables
-    Mr, Mi, cond = tables.systems
+    Mr, Mi = _oracle_systems(tables)
     sp, sm_cos, sm_sin = prob.load.weights
     col, row = tables.rhat[:K, 0], tables.rhat[0, :K]
     rhs_r = -sp * col / (b - 1.0)
@@ -78,9 +98,11 @@ def _per_load_oracle(prob, tables):
     psi_rows = np.concatenate([R[:, :K] @ B - P[:, :K] @ A, B])
     series = np.column_stack([phi_rows, psi_rows, e * phi_rows, phi_rows / (e + 1), psi_rows / (e + 1)])
     series[0] += [alpha0, beta0, 0.0, alpha0, beta0]
+    plus = np.arange(1, K + 1) % 3 == 0
     return solver.PotentialCoefficients(
         alpha=alpha, beta=beta, alpha0=alpha0, beta0=beta0,
-        condition=cond, residual=float("nan"), series=series, powers=tables.powers,
+        condition=max(np.linalg.cond(Mr[np.ix_(c, c)]) for c in (plus, ~plus)),
+        residual=float("nan"), series=series, powers=tables.powers,
     )
 
 
@@ -134,21 +156,20 @@ class TestTables:
     @pytest.mark.parametrize("lam, K", [(0.2, 16), (0.45, 38), (1e-3, 16)])
     def test_match_per_entry_oracle(self, sums, lam, K):
         t = solver.series_tables(sums, lam, K)
-        r, rho, dplus, dminus = _oracle_tables(sums, lam, K)
+        r, rho, _, dminus = _oracle_tables(sums, lam, K)
         R, P = sums.cell_tables
         assert sums.cell_tables is sums.cell_tables  # built once per lattice
         assert not (R.flags.writeable or P.flags.writeable)
         cell = _oracle_quotients(sums.c_cell, sums.d_cell, sums.s_max)
         assert np.array_equal(R, cell[0]) and np.array_equal(P, cell[1])
-        # only the (K+1)-square corner that the systems and the beta relation read
+        # only the (K+1)-square corner that the system and the beta relation read
         s = np.add.outer(np.arange(K + 1), np.arange(K + 1)) + 1
         assert t.rhat.shape == (K + 1, K + 1)
         assert np.allclose(t.rhat, lam ** (2.0 * s) * r[: K + 1, : K + 1], rtol=1e-14, atol=0)
-        # the solver's matrices carry the weights lam^(2j+2k), j, k = 1..K
+        # the solver's matrix carries the weights lam^(2j+2k), j, k = 1..K
         jk = 2.0 * np.add.outer(np.arange(1, K + 1), np.arange(1, K + 1))
-        for got, ref in ((t.dplus, dplus), (t.dminus, dminus)):
-            want = lam**jk * ref[1:, 1:]
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        want = lam**jk * dminus[1:, 1:]
+        assert np.max(np.abs(t.dminus - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_scale_invariance_at_high_porosity(self):
         # lam = 0.45a needs K = 38; the system depends on lam/a alone, so the
@@ -248,8 +269,9 @@ class TestLoadCase:
 
 
 class TestSystemCache:
-    """The system matrices and their condition number do not depend on the
-    load: one pair of cond calls serves every solve on the same tables."""
+    """The real system's two class blocks and their condition numbers do
+    not depend on the load: one cond call per block serves every solve on
+    the same tables."""
 
     def test_one_cond_per_matrix_for_many_loads(self, spec, sums, monkeypatch):
         calls = []
@@ -263,16 +285,17 @@ class TestSystemCache:
             for ang in np.linspace(0.0, np.pi, 7)
         }
         assert len(calls) == 2
+        assert all(np.array_equal(m, block) for m, block in zip(calls, tables.systems[:2]))
         assert conditions == {max(cond(m) for m in calls)}
 
     def test_singular_tables_raise_on_every_solve(self, spec, tables):
-        nan_entry = tables.dplus.copy()
-        nan_entry[1, 2] = np.nan  # numpy's SVD fails to converge
+        nan_entry = tables.dminus.copy()
+        nan_entry[1, 3] = np.nan  # in the block k = 1, 2 (mod 3): numpy's SVD fails to converge
         prob = solver.ProblemSpec(spec, 0.2, solver.LoadCase(2.0, 1.0, 0.0), 16)
-        # dplus ~ I leaves the imaginary system finite, factorisable and
-        # numerically singular (cond ~ 1e13)
-        for dplus in (nan_entry, (1 - 1e-14) * np.eye(16)):
-            broken = dataclasses.replace(tables, dplus=dplus)
+        # dminus ~ -I leaves both blocks finite, factorisable and numerically
+        # singular (cond ~ 1e13)
+        for dminus in (nan_entry, -(1 - 1e-14) * np.eye(16)):
+            broken = dataclasses.replace(tables, dminus=dminus)
             for _ in range(2):
                 with pytest.raises(errors.NumericalError):
                     solver.solve_coefficients(prob, broken)
@@ -324,8 +347,9 @@ class TestBasis:
     @pytest.mark.parametrize("n_loads", [1, 7])
     def test_one_block_solve_per_unit_load_for_any_number_of_loads(self, spec, sums, monkeypatch,
                                                                    n_loads):
-        # three solves per tables, each unit load on its class block: sigma_+
-        # on Mr's k = 0 (mod 3) block, sigma_- cos and sin on the rest of Mr, Mi
+        # two solves per tables, both on class blocks of the real system Mr:
+        # sigma_+ on its k = 0 (mod 3) block, sigma_- cos on the rest; sigma_- sin
+        # is the 60 degree turn of sigma_- cos and solves nothing
         solve = np.linalg.solve
         for K in (16, 18):
             calls = []
@@ -334,15 +358,16 @@ class TestBasis:
             for ang in np.linspace(0.0, np.pi, n_loads):
                 prob = solver.ProblemSpec(spec, 0.2, solver.LoadCase(2.0, -1.0, ang), K)
                 solver.solve_coefficients(prob, tables)
-            plus, (Mr, Mi, _) = np.arange(1, K + 1) % 3 == 0, tables.systems
-            want = [Mr[np.ix_(plus, plus)], Mr[np.ix_(~plus, ~plus)], Mi[np.ix_(~plus, ~plus)]]
-            assert [m.shape for m in calls] == [(n, n) for n in (K // 3, K - K // 3, K - K // 3)]
-            assert all(np.array_equal(got, ref) for got, ref in zip(calls, want))
+            assert [m.shape for m in calls] == [(n, n) for n in (K // 3, K - K // 3)]
+            assert all(np.array_equal(got, ref) for got, ref in zip(calls, tables.systems[:2]))
 
     def test_unit_solutions_are_ungated_and_kept(self, tables):
         units = tables.basis
         assert units is tables.basis and len(units) == 3
-        assert all(np.isnan(u.residual) and u.condition == tables.systems[2] for u in units)
+        # the condition is the larger of the two solved blocks'
+        cond = max(np.linalg.cond(m) for m in tables.systems[:2])
+        assert tables.systems[2] == cond
+        assert all(np.isnan(u.residual) and u.condition == cond for u in units)
 
 
 class TestSolution:
@@ -387,9 +412,9 @@ class TestSolution:
 
     def test_linear_algebra_breakdown_is_numerical_error(self, spec, tables):
         # a NaN system entry makes numpy's SVD fail to converge
-        dplus = tables.dplus.copy()
-        dplus[1, 2] = np.nan
-        broken = dataclasses.replace(tables, dplus=dplus)
+        dminus = tables.dminus.copy()
+        dminus[1, 3] = np.nan
+        broken = dataclasses.replace(tables, dminus=dminus)
         prob = solver.ProblemSpec(spec, 0.2, solver.LoadCase(2.0, 1.0, 0.0), 16)
         with pytest.raises(errors.NumericalError):
             solver.solve_coefficients(prob, broken)
@@ -467,7 +492,10 @@ class TestSymmetryClasses:
     the sigma_- loads by exp(-+2i pi/3), so their columns carry the other
     classes.  The off-class coefficients are exact zeros by construction:
     each load solves its own class block, and every product of the beta
-    relation off the class holds an exact zero."""
+    relation off the class holds an exact zero.  The same turn maps the
+    sigma_- cos load onto the sigma_- sin one: on the rest, the imaginary
+    system is D Mr D, D = +1 on k = 1 and -1 on k = 2 (mod 3), and the
+    sigma_- sin element is formed from the sigma_- cos one, not solved."""
 
     @pytest.mark.parametrize("a", [1.0, 246.0])
     @pytest.mark.parametrize("shells", [48, 64])
@@ -482,6 +510,36 @@ class TestSymmetryClasses:
                     assert np.all(off == 0.0), (ratio, K, i)
                     # and the class itself is loaded
                     assert np.abs(u.alpha[(ka != 0) != plus]).max() > 0, (ratio, K, i)
+
+    @staticmethod
+    def _turn_grid(a, shells):
+        """Tables over the grid lam/a in {0.05, 0.2, 0.4, 0.45}, K in {16, 24, 32, 38}."""
+        spec = lattice.build_lattice(a, 1, 1)
+        sums = lattice.compute_lattice_sums(spec, s_max=40, shells=shells)
+        for ratio in (0.05, 0.2, 0.4, 0.45):
+            for K in (16, 24, 32, 38):
+                yield spec, solver.series_tables(sums, ratio * a, K)
+
+    @pytest.mark.parametrize("a", [1.0, 246.0])
+    @pytest.mark.parametrize("shells", [48, 64])
+    def test_imaginary_system_is_the_turned_real_one(self, a, shells):
+        # on the independent systems, Mi[0, 0]'s -b included
+        for _, tables in self._turn_grid(a, shells):
+            ka = np.arange(1, tables.K + 1) % 3
+            rest = ka != 0
+            D = np.where(ka[rest] == 1, 1.0, -1.0)
+            Mr, Mi = (m[np.ix_(rest, rest)] for m in _oracle_systems(tables))
+            assert np.array_equal(Mi, D[:, None] * Mr * D), (tables.lam, tables.K)
+
+    @pytest.mark.parametrize("a", [1.0, 246.0])
+    @pytest.mark.parametrize("shells", [48, 64])
+    def test_minus_sin_element_is_that_loads_own_solution(self, a, shells):
+        for spec, tables in self._turn_grid(a, shells):
+            prob = solver.ProblemSpec(spec, tables.lam, solver.UNIT_LOADS[2], tables.K)
+            want = _per_load_oracle(prob, tables)
+            for name in _LINEAR:
+                ref, got = getattr(want, name), getattr(tables.basis[2], name)
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (tables.lam, tables.K, name)
 
 
 class TestDiluteLimit:

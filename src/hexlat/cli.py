@@ -30,8 +30,8 @@ from .errors import ConfigurationError, HexlatError, NumericalError
 from .fields import CellGeometry, _check_theta, cell_boundary_radius, total_displacement, total_stress
 from .homogenize import (_check_nu, bond_from_effective, effective_from_bond, homogenization_data,
                          isotropy_check)
-from .lattice import _MAX_ORDER, build_lattice, compute_lattice_sums, lattice_from_alpha
-from .solver import LoadCase, ProblemSpec, series_tables, solve_coefficients
+from .lattice import build_lattice, compute_lattice_sums, lattice_from_alpha
+from .solver import LoadCase, ProblemSpec, _check_truncation, series_tables, solve_coefficients
 from .svg import Series, line_plot
 
 __all__ = ["main"]
@@ -48,7 +48,7 @@ _DEFAULTS = {
     "lambda_ratio": None,  # hole radius / a (default 0.2 if neither given)
     "m": None,  # chiral index; exclusive with alpha
     "n": None,
-    "alpha": None,  # chiral/load angle in radians
+    "alpha": None,  # chiral/load angle in radians; it (or m, n) sets only solve's load angle
     "sigma1": 2.0,  # remote principal stress along alpha
     "sigma2": 1.0,  # remote principal stress across
     "K": 16,  # series truncation
@@ -120,12 +120,9 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     for key in _COUNT_KEYS:
         if not 2 <= cfg[key] <= _MAX_SAMPLES:
             raise ConfigurationError(f"{key} must lie in [2, {_MAX_SAMPLES}], got {cfg[key]}")
-    # K <= 254 is series_tables' floor of K + 2 orders at the 256-order cap; the
-    # CLI forms the sums to min(2K, 256) (`_lattice_sums`)
-    if cfg["K"] + 2 > _MAX_ORDER:
-        raise ConfigurationError(f"K must be at most {_MAX_ORDER - 2}, got {cfg['K']}")
     # checked for every command, before any lattice sum is formed, by the rules of the
     # functions that take them; the config keeps (and check.json echoes) the list strings
+    _check_truncation(cfg["K"])
     _float_list(cfg["r_factors"], "r_factors")
     for alpha in [cfg["alpha"] or 0.0, *_float_list(cfg["alphas"], "alphas")]:
         LoadCase(cfg["sigma1"], cfg["sigma2"], alpha)
@@ -228,9 +225,8 @@ def cmd_sums(cfg: dict, out: Path) -> dict:
 
 
 def _lattice_sums(cfg: dict, spec):
-    """Lattice sums to s_max, and to the 2K the solve reads (K > 128 reads orders > 256 as 0)."""
-    s_max = max(cfg["s_max"], min(2 * cfg["K"], _MAX_ORDER))
-    return compute_lattice_sums(spec, s_max=s_max, shells=cfg["shells"])
+    """Lattice sums to s_max, and to the 2K the solve reads (`load_config` holds 2K to the cap)."""
+    return compute_lattice_sums(spec, s_max=max(cfg["s_max"], 2 * cfg["K"]), shells=cfg["shells"])
 
 
 def cmd_solve(cfg: dict, out: Path) -> dict:

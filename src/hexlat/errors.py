@@ -60,9 +60,8 @@ class NumericalError(HexlatError):
 
 
 class ConsistencyError(HexlatError):
-    """A solution failed an internal cross-check: the rim gate on its
-    boundary residual, or the unit loads' structural zeros.  ``residual``
-    carries the rim gate's offending value."""
+    """A solution failed the rim gate on its boundary residual.
+    ``residual`` carries the gate's offending value."""
 
     exit_code = 4
     kind = "consistency"

@@ -38,7 +38,7 @@ from math import isfinite
 import numpy as np
 
 from .errors import ConfigurationError, ConsistencyError, InvalidArgumentError, NumericalError
-from .lattice import LatticeSpec, LatticeSums
+from .lattice import _MAX_ORDER, LatticeSpec, LatticeSums
 
 __all__ = [
     "UNIT_LOADS",
@@ -105,11 +105,18 @@ class LoadCase:
 UNIT_LOADS = (LoadCase(1.0, 1.0, 0.0), LoadCase(1.0, -1.0, 0.0), LoadCase(1.0, -1.0, np.pi / 4))
 
 
+def _check_truncation(K: int):
+    """K's one rule: the system reads the lattice sums to order 2K, which the cap bounds."""
+    if K < 4:
+        raise InvalidArgumentError(f"truncation K must be >= 4, got {K}")
+    if 2 * K > _MAX_ORDER:
+        raise InvalidArgumentError(f"truncation K must be at most {_MAX_ORDER // 2}, got {K}")
+
+
 def _check_hole(lam: float, a: float, K: int):
     if not 0 < lam < a / 2:
         raise InvalidArgumentError(f"hole radius {lam} must lie in (0, a/2) = (0, {a / 2})")
-    if K < 4:
-        raise InvalidArgumentError(f"truncation K must be >= 4, got {K}")
+    _check_truncation(K)
 
 
 @dataclass(frozen=True)
@@ -248,14 +255,15 @@ class PotentialCoefficients:
 def series_tables(sums: LatticeSums, lam: float, K: int) -> SeriesTables:
     """Scale the lattice's tables to hole radius lam; build the system matrix.
 
-    Raises InvalidArgumentError unless 0 < lam < a/2, K >= 4 and
+    Raises InvalidArgumentError unless 0 < lam < a/2, 4 <= K <= 128 and
     (lam/a)^(-2K), by which the rim arbiter scales the series' most
-    singular row, is a finite double."""
+    singular row, is a finite double; ConfigurationError unless the sums
+    reach the order 2K that the system reads."""
     a = sums.spec.a
     _check_hole(lam, a, K)
-    if sums.s_max < K + 2:
+    if sums.s_max < 2 * K:
         raise ConfigurationError(
-            f"lattice sums reach s_max = {sums.s_max}, need at least K+2 = {K + 2}"
+            f"lattice sums reach s_max = {sums.s_max}, need at least 2K = {2 * K}"
         )
     mu = lam / a
     try:
@@ -265,7 +273,7 @@ def series_tables(sums: LatticeSums, lam: float, K: int) -> SeriesTables:
             f"truncation K = {K} is too large for the hole radius lambda = {lam:g}: "
             f"(lambda/a)^(-{2 * K}) = {mu:g}^(-{2 * K}) is not a finite double"
         ) from None
-    D = mu ** (2.0 * np.arange(K + 1) + 1.0)  # s_max >= K + 2 by the check above
+    D = mu ** (2.0 * np.arange(K + 1) + 1.0)  # s_max >= 2K > K by the check above
     rhat, rhohat = (D[:, None] * table[: K + 1, : K + 1] * D for table in sums.cell_tables)
 
     b = 2 * np.pi * lam**2 / (np.sqrt(3) * a**2)

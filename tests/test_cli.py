@@ -149,6 +149,8 @@ class TestConfig:
         (("sweep_theta=-1e308",), "2*theta"),
         (("sigma1=1e308", "sigma2=-1e308"), "sigma"),
         (("sigma1=1.7e308", "sigma2=1e308"), "sigma"),
+        (("K=3",), "K must be >= 4, got 3"),
+        (("K=129",), "K must be at most 128, got 129"),
     ])
     def test_overflowing_angle_or_load_refused_before_any_sum(
         self, tmp_path, capsys, monkeypatch, command, bad, reason
@@ -193,10 +195,11 @@ class TestConfig:
         ("moduli", "direction=bond_to_effective", "nu=0.3", "n_lambda=10000000000000"),
         ("sums", "s_max=257"),
         ("solve", "K=255"),
+        ("solve", "K=129"),
     ])
     def test_size_keys_capped(self, tmp_path, capsys, args):
         # 10^13 would ask numpy for terabytes; the message names the key set
-        # (for K, not the lattice-sum order K + 2 derived from it)
+        # (for K, not the lattice-sum order 2K derived from it)
         code, out = run(tmp_path, args[0], "a=1", *args[1:])
         assert code == 2
         key = args[-1].split("=")[0]
@@ -214,9 +217,9 @@ class TestConfig:
         assert "K = 100" in err and "lambda = 0.01" in err
         assert not (out / "check.json").exists()
 
-    @pytest.mark.parametrize("args", [("K=77", "lambda_ratio=0.01"), ("K=254", "lambda_ratio=0.45")])
+    @pytest.mark.parametrize("args", [("K=77", "lambda_ratio=0.01"), ("K=128", "lambda_ratio=0.45")])
     def test_representable_rim_powers_solve(self, tmp_path, args):
-        # 0.01^(-154) = 1e308 is still a finite double; 0.45^(-508) is far from the limit
+        # 0.01^(-154) = 1e308 is still a finite double; 0.45^(-256) is far from the limit
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out = run(tmp_path, "solve", "a=1", *args)
@@ -700,7 +703,7 @@ def _per_load_cut(args, rows):
     cfg = load_config(None, list(args))
     spec, lam = cli._resolve_geometry(cfg)
     K = cfg["K"]
-    sums = lattice.compute_lattice_sums(spec, s_max=max(cfg["s_max"], K + 2), shells=cfg["shells"])
+    sums = lattice.compute_lattice_sums(spec, s_max=max(cfg["s_max"], 2 * K), shells=cfg["shells"])
     tables = solver.series_tables(sums, lam, K)
     nu = 0.2668 if cfg["nu"] is None else cfg["nu"]
     out, worst, cond = [], 0.0, 0.0
@@ -786,7 +789,7 @@ class TestCut:
     @pytest.mark.parametrize("command", ["field", "sweep"])
     @pytest.mark.parametrize("K", [-1, 0, 3])
     def test_truncation_below_four_rejected(self, tmp_path, capsys, command, K):
-        # the unit-load basis is built before any ProblemSpec checks K
+        # refused where the config is read, before any lattice sum
         code, out = run(tmp_path, command, "a=1", "n_alpha=3", "n_r=3", f"K={K}")
         assert code == 2
         assert f"K must be >= 4, got {K}" in capsys.readouterr().err

@@ -440,7 +440,7 @@ class TestPointKernel:
     @pytest.mark.parametrize("a", [1.0, 246.0])
     def test_alternating_pairs_match_cleared_kernel(self, a):
         spec = lattice.build_lattice(a, 1, 1)
-        sums = lattice.compute_lattice_sums(spec, s_max=40, shells=48)
+        sums = lattice.compute_lattice_sums(spec, s_max=76, shells=48)
         solved = []
         for ratio, K, load in ((0.2, 16, solver.LoadCase(2.0, 1.0, 0.3)),
                                (0.45, 38, solver.LoadCase(-1.0, 0.5, 1.1))):
@@ -514,7 +514,7 @@ class TestRimPowers:
     @staticmethod
     def _tables(a, ratio, K):
         spec = lattice.build_lattice(a, 1, 1)
-        sums = lattice.compute_lattice_sums(spec, s_max=40, shells=48)
+        sums = lattice.compute_lattice_sums(spec, s_max=max(40, 2 * K), shells=48)
         return spec, solver.series_tables(sums, ratio * a, K)
 
     @pytest.mark.parametrize("a", [1.0, 246.0])

@@ -115,6 +115,12 @@ def _combine(weights, units):
     return {name: sum(w * getattr(u, name) for w, u in zip(weights, units)) for name in _LINEAR}
 
 
+def _to_2K(spec, sums, K):
+    """The session sums, or, where K's system reads past them, the same
+    lattice's sums (64 rings, as the session's) to the order 2K."""
+    return sums if sums.s_max >= 2 * K else lattice.compute_lattice_sums(spec, s_max=2 * K, shells=64)
+
+
 class TestValidation:
     def test_hole_radius_bounds(self, spec):
         load = solver.LoadCase(1.0, 0.0, 0.0)
@@ -135,6 +141,10 @@ class TestValidation:
     def test_tables_need_enough_orders(self, sums):
         with pytest.raises(errors.ConfigurationError):
             solver.series_tables(sums, 0.2, sums.s_max)
+        # the system reads the sums to order 2K: K = 21 reads 42 of the 40 orders
+        with pytest.raises(errors.ConfigurationError, match="s_max = 40, need at least 2K = 42"):
+            solver.series_tables(sums, 0.2, 21)
+        assert solver.series_tables(sums, 0.2, 20).K == 20
 
     def test_mismatched_tables_rejected(self, spec, tables):
         prob = solver.ProblemSpec(spec, 0.1, solver.LoadCase(1.0, 0.0, 0.0), 16)
@@ -154,7 +164,8 @@ class TestValidation:
 
 class TestTables:
     @pytest.mark.parametrize("lam, K", [(0.2, 16), (0.45, 38), (1e-3, 16)])
-    def test_match_per_entry_oracle(self, sums, lam, K):
+    def test_match_per_entry_oracle(self, spec, sums, lam, K):
+        sums = _to_2K(spec, sums, K)
         t = solver.series_tables(sums, lam, K)
         r, rho, _, dminus = _oracle_tables(sums, lam, K)
         R, P = sums.cell_tables
@@ -172,16 +183,17 @@ class TestTables:
         assert np.max(np.abs(t.dminus - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_scale_invariance_at_high_porosity(self):
-        # lam = 0.45a needs K = 38; the system depends on lam/a alone, so the
-        # dimensionless alpha, beta agree for every a (in physical units,
-        # lam^(4K) overflows at a = 246)
+        # lam = 0.45a needs K = 48 on the 96 orders it reads (K = 38 leaves
+        # 1.4e-11); the system depends on lam/a alone, so the dimensionless
+        # alpha, beta agree for every a (in physical units, lam^(4K)
+        # overflows at a = 246)
         load = solver.LoadCase(2.0, 1.0, 0.3)
         solved = []
         for a in (1.0, 2.46, 246.0):
             spec = lattice.build_lattice(a, 1, 1)
-            sums = lattice.compute_lattice_sums(spec, s_max=40, shells=64)
-            prob = solver.ProblemSpec(spec, 0.45 * a, load, 38)
-            solved.append(solver.solve_coefficients(prob, solver.series_tables(sums, 0.45 * a, 38)))
+            sums = lattice.compute_lattice_sums(spec, s_max=96, shells=64)
+            prob = solver.ProblemSpec(spec, 0.45 * a, load, 48)
+            solved.append(solver.solve_coefficients(prob, solver.series_tables(sums, 0.45 * a, 48)))
         ref = solved[0]
         for c in solved:
             assert c.residual <= 1e-12
@@ -194,18 +206,20 @@ class TestTables:
         # one lambda-free table pair per lattice, the same array for every a;
         # a hole radius enters through lam/a alone, so the dimensionless
         # solution and its series agree to rounding from a = 0.01 to 246
+        # with the a = 1 solution at the same mu = (ratio a)/a, which may
+        # differ from ratio in its last bit
         load = solver.LoadCase(2.0, 1.0, 0.3)
-        cells, solved = [], []
-        for a in (0.01, 1.0, 246.0):
+
+        def solved(a, mu):
             spec = lattice.build_lattice(a, 1, 1)
-            sums = lattice.compute_lattice_sums(spec, s_max=40, shells=48)
-            tables = solver.series_tables(sums, ratio * a, K)
-            prob = solver.ProblemSpec(spec, ratio * a, load, K)
-            cells.append(sums.cell_tables)
-            solved.append(solver.solve_coefficients(prob, tables))
-        ref = solved[1]
-        for (R, P), c in zip(cells, solved):
-            assert np.array_equal(R, cells[1][0]) and np.array_equal(P, cells[1][1])
+            sums = lattice.compute_lattice_sums(spec, s_max=max(40, 2 * K), shells=48)
+            prob = solver.ProblemSpec(spec, mu * a, load, K)
+            return sums.cell_tables, solver.solve_coefficients(prob, solver.series_tables(sums, mu * a, K))
+
+        for a in (0.01, 1.0, 246.0):
+            (R, P), c = solved(a, ratio)
+            (R1, P1), ref = solved(1.0, ratio * a / a)
+            assert np.array_equal(R, R1) and np.array_equal(P, P1)
             for name, tol in (("alpha", 1e-13), ("beta", 1e-13), ("series", 1e-14)):
                 got, want = getattr(c, name), getattr(ref, name)
                 assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), name
@@ -308,7 +322,7 @@ class TestBasis:
     @pytest.mark.parametrize("ratio, K", [(0.2, 16), (0.4, 16), (0.45, 38), (0.45, 4)])
     def test_matches_per_load_oracle(self, a, ratio, K):
         spec = lattice.build_lattice(a, 1, 1)
-        sums = lattice.compute_lattice_sums(spec, s_max=40, shells=48)
+        sums = lattice.compute_lattice_sums(spec, s_max=max(40, 2 * K), shells=48)
         tables = solver.series_tables(sums, ratio * a, K)
 
         def oracle(load):
@@ -385,7 +399,7 @@ class TestSolution:
         # not a NaN residual (ConsistencyError), and no RuntimeWarning
         prob = solver.ProblemSpec(spec, lam, solver.LoadCase(*load), K)
         with pytest.raises(errors.NumericalError, match="overflows"):
-            solver.solve_coefficients(prob, solver.series_tables(sums, lam, K))
+            solver.solve_coefficients(prob, solver.series_tables(_to_2K(spec, sums, K), lam, K))
 
     def test_large_load_at_small_hole_solves(self, spec, sums):
         # the solution is finite, and so is every mode of its rim spectrum
@@ -500,7 +514,7 @@ class TestSymmetryClasses:
     @pytest.mark.parametrize("a", [1.0, 246.0])
     @pytest.mark.parametrize("shells", [48, 64])
     def test_unit_load_basis_obeys_its_classes(self, a, shells):
-        sums = lattice.compute_lattice_sums(lattice.build_lattice(a, 1, 1), s_max=40, shells=shells)
+        sums = lattice.compute_lattice_sums(lattice.build_lattice(a, 1, 1), s_max=64, shells=shells)
         for ratio in (0.05, 0.2, 0.3, 0.4):
             for K in (16, 24, 32):
                 ka, kb = np.arange(1, K + 1) % 3, np.arange(1, K + 2) % 3
@@ -515,7 +529,7 @@ class TestSymmetryClasses:
     def _turn_grid(a, shells):
         """Tables over the grid lam/a in {0.05, 0.2, 0.4, 0.45}, K in {16, 24, 32, 38}."""
         spec = lattice.build_lattice(a, 1, 1)
-        sums = lattice.compute_lattice_sums(spec, s_max=40, shells=shells)
+        sums = lattice.compute_lattice_sums(spec, s_max=76, shells=shells)
         for ratio in (0.05, 0.2, 0.4, 0.45):
             for K in (16, 24, 32, 38):
                 yield spec, solver.series_tables(sums, ratio * a, K)

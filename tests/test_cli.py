@@ -1,8 +1,12 @@
 """CLI: artifacts, exit codes, determinism, and figure-level trends."""
 
 import functools
+import gc
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -307,13 +311,14 @@ class TestExitContract:
 def _sweep_moduli_runs(draw):
     """One sweep, or moduli in either direction: a log-uniform lattice
     constant across the a^(+-6) bound, loads up to 1e308, angles up to
-    1e300, holes up to 0.4999 a and K up to 254.  The sample count (at most
-    4) and the Poisson ratio are always set, each other key or not."""
+    1e300, holes up to 0.4999 a and K up to its cap 128 (TestConfig covers
+    the refusal above it).  The sample count (at most 4) and the Poisson
+    ratio are always set, each other key or not."""
     mode = draw(st.sampled_from(["sweep", "bond_to_effective", "effective_to_bond"]))
     args = [mode] if mode == "sweep" else ["moduli", f"direction={mode}"]
     args.append(f"a={10.0 ** draw(st.floats(-60, 60))!r}")
     keys = [("sigma1", st.floats(-1e308, 1e308)), ("sigma2", st.floats(-1e308, 1e308)),
-            ("alpha", st.floats(-1e300, 1e300)), ("K", st.integers(4, 254)),
+            ("alpha", st.floats(-1e300, 1e300)), ("K", st.integers(4, 128)),
             ("shells", st.integers(2, 64))]
     if mode == "sweep":
         keys += [("sweep_theta", st.floats(-1e300, 1e300)), ("lambda_ratio", st.floats(0.01, 0.4999)),
@@ -450,6 +455,43 @@ class TestExitPath:
         assert capsys.readouterr().err.startswith("hexlat: precision failure: ")
         assert [p.name for p in out.iterdir()] == ["check.json"]
         assert not list((out / "check.json").iterdir())
+
+
+def _fresh_python(*args):
+    """Run `python args` in a new interpreter that imports this hexlat."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+class TestProcessExit:
+    """`hexlat.cli` freezes the collector when the process exits, and only then."""
+
+    @pytest.mark.parametrize("module, frozen", [("hexlat.cli", True), ("hexlat", False)])
+    def test_heap_frozen_at_exit_by_the_cli_only(self, module, frozen):
+        # atexit runs its hooks last in, first out: a probe registered before
+        # the import runs after every hook that the import registers
+        probe = ("import atexit, gc\n"
+                 "atexit.register(lambda: print(gc.get_freeze_count()))\n"
+                 f"import {module}\n")
+        proc = _fresh_python("-c", probe)
+        assert proc.returncode == 0, proc.stderr
+        assert (int(proc.stdout) > 0) == frozen
+
+    @pytest.mark.parametrize("args", [
+        ("field", "a=1", "n_r=5", "alphas=0,0.3"),
+        ("moduli", "direction=bond_to_effective", "nu=0.3", "n_lambda=4"),
+    ])
+    def test_fresh_process_writes_the_in_process_artifacts(self, tmp_path, capsys, args):
+        proc = _fresh_python("-m", "hexlat.cli", *args, "--out", str(tmp_path / "fresh"))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        code, out = run(tmp_path, *args)
+        assert code == 0 and capsys.readouterr() == ("", "")
+        assert gc.get_freeze_count() == 0  # main itself freezes nothing
+        names = sorted(p.name for p in out.iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "fresh").iterdir())
+        for name in names:
+            assert (tmp_path / "fresh" / name).read_bytes() == (out / name).read_bytes(), name
 
 
 class TestCsv:

@@ -788,6 +788,21 @@ class TestIsolatedHoleOracle:
         with pytest.raises(errors.DomainError):
             fields.isolated_hole_reference(0.05, 0.0, 0.1, solver.LoadCase(1, 0, 0))
 
+    def test_rim_concentration_leaves_three_at_order_f(self, spec, sums):
+        # criterion 7's rim concentration: K_t = sigma_theta(lambda, pi/2) under
+        # uniaxial tension along x is 3 (1 + f (1 - 2.44 f)) with f the hole
+        # fraction; (K_t - 3)/(3f) - 1 measured -2.439 f at lambda = 0.005a and 0.01a,
+        # -2.436 f at 0.02a
+        load = solver.LoadCase(1.0, 0.0, 0.0)
+        for ratio in (0.005, 0.01, 0.02):
+            lam = ratio * spec.a
+            f = 2 * np.pi * ratio**2 / np.sqrt(3)
+            tables = solver.series_tables(sums, lam, 16)
+            prob = solver.ProblemSpec(spec, lam, load, 16)
+            coeffs = solver.solve_coefficients(prob, tables)
+            k_t = fields.total_stress(lam, np.pi / 2, prob, coeffs, tables).sigma_theta
+            assert abs((k_t - 3) / (3 * f) - 1) <= 2.5 * f, ratio
+
     def test_periodic_solution_converges_to_oracle(self, spec, sums):
         # interaction error scales with hole area fraction: quarter radius
         # must cut the mismatch by ~16

@@ -29,12 +29,13 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, HexlatError, NumericalError
-from .fields import CellGeometry, _check_theta, cell_boundary_radius, total_displacement, total_stress
+from .fields import (CellGeometry, _check_theta, cell_boundary_radius, total_displacement,
+                     total_stress)
 from .homogenize import (_check_nu, bond_from_effective, effective_from_bond, homogenization_data,
                          isotropy_check)
 from .lattice import build_lattice, compute_lattice_sums, lattice_from_alpha
 from .solver import LoadCase, ProblemSpec, _check_truncation, series_tables, solve_coefficients
-from .svg import Series, line_plot
+from .svg import line_plot
 
 __all__ = ["main"]
 _CHECK_SCHEMA = "hexlat-check/1"
@@ -281,8 +282,8 @@ def cmd_field(cfg: dict, out: Path) -> dict:
     values, checks = _cut(cfg, out, spec, lam, theta, rr, alphas)
     curves = []
     for ang, cut in zip(alphas, values):
-        curves.append(Series(tuple(rr), tuple(cut[:, 3]), label=f"sigma_r, alpha={ang:.4g}"))
-        curves.append(Series(tuple(rr), tuple(cut[:, 4]), label=f"tau, alpha={ang:.4g}"))
+        curves.append((rr, cut[:, 3], f"sigma_r, alpha={ang:.4g}"))
+        curves.append((rr, cut[:, 4], f"tau, alpha={ang:.4g}"))
     (out / "fig2.svg").write_text(
         line_plot(curves, title="rim-to-boundary stresses", xlabel="r", ylabel="stress")
     )
@@ -304,7 +305,7 @@ def cmd_sweep(cfg: dict, out: Path) -> dict:
     for r, sweep in zip(radii, values.transpose(1, 0, 2)):
         for curves, col, name in ((stress_curves, 3, "sigma_r"), (stress_curves, 4, "tau"),
                                   (disp_curves, 9, "2Gu"), (disp_curves, 10, "2Gv")):
-            curves.append(Series(tuple(angles), tuple(sweep[:, col]), label=f"{name}, r={r:.4g}"))
+            curves.append((angles, sweep[:, col], f"{name}, r={r:.4g}"))
     (out / "fig3.svg").write_text(
         line_plot(stress_curves, title="stresses vs load angle", xlabel="alpha", ylabel="stress")
     )
@@ -361,10 +362,8 @@ def cmd_moduli(cfg: dict, out: Path) -> dict:
         worst_iso = max(worst_iso, rep.det_rel_err, rep.split_plus, rep.split_minus,
                         rep.closed_form_gap)
     _write_csv(out / "moduli.csv", ["lambda", "E_eff", "nu_eff", "E", "nu"], rows)
-    curves = [
-        Series(tuple(lams), tuple(E for E, _ in outs), label=label),
-        Series(tuple(lams), tuple(nu for _, nu in outs), label=other),
-    ]
+    E, nu = zip(*outs)
+    curves = [(lams, E, label), (lams, nu, other)]
     (out / fig).write_text(line_plot(curves, title=title, xlabel="lambda", ylabel="value"))
     return {"round_trip_error": worst_rt, "isotropy_worst": worst_iso, "n_rows": len(rows)}
 

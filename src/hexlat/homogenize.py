@@ -109,7 +109,9 @@ def homogenization_data(
     )
 
 
-def bond_from_effective(E_eff: float, nu_eff: float, data: HomogenizationData) -> tuple[float, float]:
+def bond_from_effective(
+    E_eff: float, nu_eff: float, data: HomogenizationData
+) -> tuple[float, float]:
     """Bond moduli (E, nu) that produce the given effective pair."""
     if not E_eff > 0:
         raise InvalidArgumentError(f"E_eff must be positive, got {E_eff}")

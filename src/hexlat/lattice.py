@@ -146,7 +146,8 @@ def _check_scale(a: float, power: int):
         extremes = (math.inf,)
     if not all(sys.float_info.min <= v <= sys.float_info.max for v in extremes):
         raise InvalidArgumentError(
-            f"lattice constant a = {a:g} is out of range: a^(+-{power}) is not a finite, normal double"
+            f"lattice constant a = {a:g} is out of range: "
+            f"a^(+-{power}) is not a finite, normal double"
         )
 
 

@@ -145,15 +145,14 @@ class SeriesTables:
 
     powers are the series rows' exponents p of zeta^(2p), zeta = z0/a.
 
-    Two load-independent parts are formed on first use and kept for
-    the life of the tables, shared by every solution on them:
-    - systems: the real system Mr's two class blocks, k = 0 (mod 3) and
-      the rest (read-only), and the larger of their 2-norm condition
-      numbers (singular tables raise NumericalError on every solve, as a
-      raising cached_property stores nothing);
-    - basis: the solutions of the three UNIT_LOADS, ungated (residual
-      NaN), from one solve per block (every off-class alpha_k, beta_k an
-      exact 0.0); a load's solution is its weights applied to them.
+    The solutions of the three UNIT_LOADS (basis) are formed on first use
+    and kept for the life of the tables, shared by every solution on them:
+    ungated (residual NaN), from one solve per class block of the real
+    system Mr, k = 0 (mod 3) and the rest, once the larger of the blocks'
+    2-norm condition numbers passes (singular tables raise NumericalError
+    on every solve, as a raising cached_property stores nothing); every
+    off-class alpha_k, beta_k is an exact 0.0, and a load's solution is
+    its weights applied to them.
     """
 
     sums: LatticeSums
@@ -165,39 +164,27 @@ class SeriesTables:
     powers: np.ndarray
 
     @cached_property
-    def systems(self) -> tuple[np.ndarray, np.ndarray, float]:
+    def basis(self) -> tuple[PotentialCoefficients, ...]:
         K, b, rhat = self.K, self.b, self.rhat
         col, row = rhat[:K, 0], rhat[0, :K]  # mu^(2j) R[j-1, 0] and mu^(2k) R[0, k-1]
         # real parts: coupled to beta through the sigma_+ balance; the classes meet in exact 0s
         Mr = np.eye(K) + self.dminus + (2.0 / (b - 1.0)) * np.outer(col, row)
         Mr[0, 0] -= b
-        plus = np.arange(1, K + 1) % 3 == 0
-        blocks = Mr[np.ix_(plus, plus)], Mr[np.ix_(~plus, ~plus)]
-        try:
-            cond = float(np.max([np.linalg.cond(m) for m in blocks]))
-        except np.linalg.LinAlgError as exc:  # SVD breakdown (non-finite entries)
-            raise NumericalError(f"truncated system cannot be solved: {exc}") from exc
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
-            raise NumericalError(
-                f"truncated system is numerically singular (cond ~ {cond:.3e})", condition=cond
-            )
-        blocks[0].flags.writeable = blocks[1].flags.writeable = False
-        return *blocks, cond
-
-    @cached_property
-    def basis(self) -> tuple[PotentialCoefficients, ...]:
-        K, b = self.K, self.b
-        plus_block, rest_block, cond = self.systems
-        col, row = self.rhat[:K, 0], self.rhat[0, :K]
-        # sigma_+ solves its class (col lies there) and sigma_- cos the rest (-e_1); sigma_- sin,
-        # its turn, is D times it there (module docstring); every other alpha_k stays an exact 0
         k = np.arange(1, K + 1)
         plus, rest = k % 3 == 0, k % 3 != 0
+        plus_block, rest_block = Mr[np.ix_(plus, plus)], Mr[np.ix_(rest, rest)]
+        # sigma_+ solves its class (col lies there) and sigma_- cos the rest (-e_1); sigma_- sin,
+        # its turn, is D times it there (module docstring); every other alpha_k stays an exact 0
         alpha = np.zeros((3, K), dtype=complex)  # row i: UNIT_LOADS[i], as in every array below
         try:
+            cond = float(np.max([np.linalg.cond(m) for m in (plus_block, rest_block)]))
+            if not np.isfinite(cond) or cond > _COND_LIMIT:
+                raise NumericalError(
+                    f"truncated system is numerically singular (cond ~ {cond:.3e})", condition=cond
+                )
             alpha.real[0, plus] = np.linalg.solve(plus_block, -col[plus] / (b - 1.0))
             alpha.real[1, rest] = np.linalg.solve(rest_block, -np.eye(1, K - K // 3)[0])
-        except np.linalg.LinAlgError as exc:  # factorisation breakdown (non-finite entries)
+        except np.linalg.LinAlgError as exc:  # SVD or factorisation breakdown (non-finite entries)
             raise NumericalError(f"truncated system cannot be solved: {exc}") from exc
         alpha.imag[2, rest] = np.where(k[rest] % 3 == 1, 1.0, -1.0) * alpha.real[1, rest]
         # beta_1 from the sigma_+ balance (weights sp), beta_(j+1) = (2j+1) alpha_j +
@@ -205,7 +192,7 @@ class SeriesTables:
         sp = np.array([1.0, 0.0, 0.0])
         beta = np.column_stack([
             (-sp - 2.0 * (alpha.real @ row)) / (b - 1.0),
-            (2 * k + 1) * alpha + np.conj(alpha) @ self.rhat[1 : K + 1, :K].T,
+            (2 * k + 1) * alpha + np.conj(alpha) @ rhat[1 : K + 1, :K].T,
         ])
         alpha0, beta0 = b / 2.0 * beta[:, 0], b * np.conj(alpha[:, 0])
 
@@ -218,7 +205,9 @@ class SeriesTables:
         A, B = alpha * pw, beta[:, :K] * pw
         phi_rows = np.hstack([A @ R[:, :K].T, A])
         psi_rows = np.hstack([B @ R[:, :K].T - A @ P[:, :K].T, B])
-        series = np.stack([phi_rows, psi_rows, e * phi_rows, phi_rows / (e + 1), psi_rows / (e + 1)], -1)
+        series = np.stack(
+            [phi_rows, psi_rows, e * phi_rows, phi_rows / (e + 1), psi_rows / (e + 1)], -1
+        )
         series[:, 0] += np.column_stack([alpha0, beta0, np.zeros(3), alpha0, beta0])
         alpha.flags.writeable = beta.flags.writeable = series.flags.writeable = False
         return tuple(
@@ -294,7 +283,8 @@ def solve_coefficients(prob: ProblemSpec, tables: SeriesTables) -> PotentialCoef
     (ConsistencyError unless within 1e-6 of the load scale; NaN fails).
     A solution or rim spectrum that overflows a double raises NumericalError."""
     got, want = tables.sums.spec, prob.spec  # by the periods: spec.alpha is a load angle
-    if (tables.K, tables.lam, got.omega1, got.omega2) != (prob.K, prob.lam, want.omega1, want.omega2):
+    if ((tables.K, tables.lam, got.omega1, got.omega2)
+            != (prob.K, prob.lam, want.omega1, want.omega2)):
         raise ConfigurationError("tables were built for a different lattice, lam or K")
     from . import fields  # deferred: fields depends on this module's types
 

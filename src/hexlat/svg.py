@@ -9,28 +9,16 @@ need is implemented: axes, 1-2-5 ticks, polylines, and a legend.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-__all__ = ["Series", "line_plot"]
+__all__ = ["line_plot"]
 
-_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
-_DASHES = ["none", "6,3", "2,2", "8,3,2,3", "4,4", "1,3"]
+# (stroke colour, dash attribute) of the curves in turn, wrapping after six
+_STYLES = [("#1f77b4", ""), ("#d62728", ' stroke-dasharray="6,3"'),
+           ("#2ca02c", ' stroke-dasharray="2,2"'), ("#9467bd", ' stroke-dasharray="8,3,2,3"'),
+           ("#ff7f0e", ' stroke-dasharray="4,4"'), ("#8c564b", ' stroke-dasharray="1,3"')]
 
 _W, _H = 640, 460
 _ML, _MR, _MT, _MB = 64, 16, 34, 46  # margins: left right top bottom
-
-
-@dataclass(frozen=True)
-class Series:
-    """One polyline: x/y samples and a legend label."""
-
-    x: tuple
-    y: tuple
-    label: str = ""
-
-    def __post_init__(self):
-        if len(self.x) != len(self.y) or len(self.x) < 2:
-            raise ValueError("series needs matching x/y of length >= 2")
 
 
 def _fmt(v: float) -> str:
@@ -59,16 +47,19 @@ def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
 
 
 def line_plot(
-    series: list[Series],
+    curves: list[tuple],
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
 ) -> str:
-    """Render series as a complete SVG document (string)."""
-    if not series:
+    """Render (x, y, label) curves as a complete SVG document (string);
+    an empty label leaves the curve out of the legend."""
+    if not curves:
         raise ValueError("need at least one series")
-    xs = [v for s in series for v in s.x]
-    ys = [v for s in series for v in s.y]
+    if any(len(x) != len(y) or len(x) < 2 for x, y, _ in curves):
+        raise ValueError("series needs matching x/y of length >= 2")
+    xs = [v for x, _, _ in curves for v in x]
+    ys = [v for _, y, _ in curves for v in y]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     if x1 <= x0:
@@ -116,22 +107,18 @@ def line_plot(
             f'<line x1="{_ML}" y1="{Y}" x2="{_ML + pw}" y2="{Y}" '
             'stroke="#ddd" stroke-width="0.5"/>'
         )
-    for i, s in enumerate(series):
-        color = _COLORS[i % len(_COLORS)]
-        dash = _DASHES[i % len(_DASHES)]
-        pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(s.x, s.y))
-        extra = "" if dash == "none" else f' stroke-dasharray="{dash}"'
+    for i, (x, y, _) in enumerate(curves):
+        color, extra = _STYLES[i % len(_STYLES)]
+        pts = " ".join(f"{_fmt(px(u))},{_fmt(py(v))}" for u, v in zip(x, y))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"{extra}/>'
         )
     # legend, top-right inside the frame
     ly = _MT + 14
-    for i, s in enumerate(series):
-        if not s.label:
+    for i, (_, _, label) in enumerate(curves):
+        if not label:
             continue
-        color = _COLORS[i % len(_COLORS)]
-        dash = _DASHES[i % len(_DASHES)]
-        extra = "" if dash == "none" else f' stroke-dasharray="{dash}"'
+        color, extra = _STYLES[i % len(_STYLES)]
         lx = _ML + pw - 150
         parts.append(
             f'<line x1="{lx}" y1="{ly}" x2="{lx + 26}" y2="{ly}" '
@@ -139,7 +126,7 @@ def line_plot(
         )
         parts.append(
             f'<text x="{lx + 32}" y="{ly + 4}" font-size="11" '
-            f'font-family="sans-serif">{s.label}</text>'
+            f'font-family="sans-serif">{label}</text>'
         )
         ly += 16
     if title:

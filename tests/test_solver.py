@@ -68,10 +68,11 @@ def _oracle_systems(tables):
 
 def _per_load_oracle(prob, tables):
     """One load solved on its own, independent of the unit-load basis and
-    of `SeriesTables.systems`: the full real and imaginary systems
-    (`_oracle_systems`) with this load's right-hand sides, the closed-form
-    beta/alpha0/beta0 chains and the collapse of the lattice's lambda-free
-    tables R, P onto the coefficients with the weights mu^(2k), mu = lam/a.
+    of the class blocks that `SeriesTables.basis` solves: the full real
+    and imaginary systems (`_oracle_systems`) with this load's right-hand
+    sides, the closed-form beta/alpha0/beta0 chains and the collapse of
+    the lattice's lambda-free tables R, P onto the coefficients with the
+    weights mu^(2k), mu = lam/a.
     Not gated: the residual is NaN.  The condition is the larger of those
     of Mr's two class blocks, k = 0 (mod 3) and the rest."""
     K, b = prob.K, tables.b
@@ -104,6 +105,26 @@ def _per_load_oracle(prob, tables):
         condition=max(np.linalg.cond(Mr[np.ix_(c, c)]) for c in (plus, ~plus)),
         residual=float("nan"), series=series, powers=tables.powers,
     )
+
+
+def _assert_oracle_blocks(blocks, tables):
+    """blocks are Mr's two class blocks, k = 0 (mod 3) and the rest, of
+    `_oracle_systems`, each within 1e-14 of its largest entry; returns the
+    oracle blocks' larger 2-norm condition number."""
+    Mr = _oracle_systems(tables)[0]
+    plus = np.arange(1, tables.K + 1) % 3 == 0
+    want = [Mr[np.ix_(c, c)] for c in (plus, ~plus)]
+    for got, ref in zip(blocks, want, strict=True):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    return max(np.linalg.cond(m) for m in want)
+
+
+def _capture(monkeypatch, name):
+    """Record every matrix np.linalg.<name> receives, and pass it on."""
+    calls, fn = [], getattr(np.linalg, name)
+    monkeypatch.setattr(np.linalg, name, lambda m, *args: calls.append(m) or fn(m, *args))
+    return calls
 
 
 # The fields of a coefficient set that are real-linear in the load weights.
@@ -288,9 +309,7 @@ class TestSystemCache:
     the same tables."""
 
     def test_one_cond_per_matrix_for_many_loads(self, spec, sums, monkeypatch):
-        calls = []
-        cond = np.linalg.cond
-        monkeypatch.setattr(np.linalg, "cond", lambda m, *args: calls.append(m) or cond(m, *args))
+        conds, solves = _capture(monkeypatch, "cond"), _capture(monkeypatch, "solve")
         tables = solver.series_tables(sums, 0.2, 16)
         conditions = {
             solver.solve_coefficients(
@@ -298,9 +317,12 @@ class TestSystemCache:
             ).condition
             for ang in np.linspace(0.0, np.pi, 7)
         }
-        assert len(calls) == 2
-        assert all(np.array_equal(m, block) for m, block in zip(calls, tables.systems[:2]))
-        assert conditions == {max(cond(m) for m in calls)}
+        monkeypatch.undo()
+        assert len(conds) == 2
+        # the gated blocks are the solved ones, and the oracle's
+        assert all(np.array_equal(c, m) for c, m in zip(conds, solves, strict=True))
+        _assert_oracle_blocks(conds, tables)
+        assert conditions == {max(np.linalg.cond(m) for m in conds)}
 
     def test_singular_tables_raise_on_every_solve(self, spec, tables):
         nan_entry = tables.dminus.copy()
@@ -364,24 +386,30 @@ class TestBasis:
         # two solves per tables, both on class blocks of the real system Mr:
         # sigma_+ on its k = 0 (mod 3) block, sigma_- cos on the rest; sigma_- sin
         # is the 60 degree turn of sigma_- cos and solves nothing
-        solve = np.linalg.solve
         for K in (16, 18):
-            calls = []
-            monkeypatch.setattr(np.linalg, "solve", lambda m, rhs: calls.append(m) or solve(m, rhs))
+            conds, solves = _capture(monkeypatch, "cond"), _capture(monkeypatch, "solve")
             tables = solver.series_tables(sums, 0.2, K)
             for ang in np.linspace(0.0, np.pi, n_loads):
                 prob = solver.ProblemSpec(spec, 0.2, solver.LoadCase(2.0, -1.0, ang), K)
                 solver.solve_coefficients(prob, tables)
-            assert [m.shape for m in calls] == [(n, n) for n in (K // 3, K - K // 3)]
-            assert all(np.array_equal(got, ref) for got, ref in zip(calls, tables.systems[:2]))
+            monkeypatch.undo()
+            assert [m.shape for m in solves] == [(n, n) for n in (K // 3, K - K // 3)]
+            assert all(np.array_equal(m, c) for m, c in zip(solves, conds, strict=True))
+            _assert_oracle_blocks(solves, tables)
 
-    def test_unit_solutions_are_ungated_and_kept(self, tables):
-        units = tables.basis
-        assert units is tables.basis and len(units) == 3
-        # the condition is the larger of the two solved blocks'
-        cond = max(np.linalg.cond(m) for m in tables.systems[:2])
-        assert tables.systems[2] == cond
-        assert all(np.isnan(u.residual) and u.condition == cond for u in units)
+    def test_unit_solutions_are_ungated_and_kept(self, monkeypatch):
+        for a, ratio, K in ((1.0, 0.2, 16), (246.0, 0.4, 16), (1.0, 0.45, 38), (1.0, 0.2, 18)):
+            spec = lattice.build_lattice(a, 1, 1)
+            sums = lattice.compute_lattice_sums(spec, s_max=max(40, 2 * K), shells=48)
+            tables = solver.series_tables(sums, ratio * a, K)
+            conds = _capture(monkeypatch, "cond")
+            units = tables.basis
+            monkeypatch.undo()
+            assert units is tables.basis and len(units) == 3 and len(conds) == 2
+            # the condition is the larger of the two solved blocks', and the oracle's
+            cond, want = max(np.linalg.cond(m) for m in conds), _assert_oracle_blocks(conds, tables)
+            assert all(np.isnan(u.residual) and u.condition == cond for u in units)
+            assert abs(cond - want) <= 1e-14 * want
 
 
 class TestSolution:

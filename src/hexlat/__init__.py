@@ -1,8 +1,8 @@
 """Series solution for a doubly-periodic hexagonally perforated elastic plane.
 
 Modules:
-    lattice     hexagonal geometry, chiral angle, lattice sums
-    elliptic    Weierstrass p / zeta and the Natanzon function
+    lattice     hexagonal geometry, chiral angle, point folding, lattice sums
+    elliptic    Weierstrass p / zeta and the Natanzon function: oracles, not imported here
     solver      truncated linear systems for the potential coefficients
     fields      total stresses and displacements, boundary checks
     homogenize  bond <-> effective moduli conversion

@@ -395,18 +395,25 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_intermixed_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    out = Path(args.out)
-    try:
-        for name in ("check.json", *_ARTIFACTS[args.command]):  # nothing of an earlier run survives
+    out, artifacts = Path(args.out), _ARTIFACTS[args.command]
+
+    def remove(names):  # files only: a directory in the way stays, and fails the write
+        for name in names:
             if (out / name).is_file():
                 (out / name).unlink()
+
+    try:
+        remove(("check.json", *artifacts))  # nothing of an earlier run survives
         cfg = load_config(args.config, list(args.overrides))
         out.mkdir(parents=True, exist_ok=True)
         checks = _COMMANDS[args.command](cfg, out)
         _write_check(out, args.command, cfg, status="ok", checks=checks)
-    except HexlatError as exc:
-        failed = exc.exit_code != 2  # precision or consistency: the run is reported
-        print(f"hexlat: {exc.kind} {'failure' if failed else 'error'}: {exc}", file=sys.stderr)
+    except (HexlatError, OSError) as exc:  # OSError: the config file, --out or an artifact path
+        stated = exc if isinstance(exc, HexlatError) else HexlatError  # OSError: 2, its word
+        failed = stated.exit_code != 2  # precision or consistency: the run is reported
+        print(f"hexlat: {stated.kind} {'failure' if failed else 'error'}: {exc}", file=sys.stderr)
+        with contextlib.suppress(OSError):  # best effort, as the report below
+            remove(artifacts)  # nor does the data a failed run wrote
         if failed:
             # NaN and infinities are not JSON: report them as null
             numbers = {key: getattr(exc, key, None) for key in ("tail", "condition", "residual")}
@@ -414,10 +421,7 @@ def main(argv: list[str] | None = None) -> int:
                 _write_check(out, args.command, cfg, status=exc.kind + "-failure", message=str(exc),
                              **{k: float(v) if math.isfinite(v) else None
                                 for k, v in numbers.items() if v is not None})
-        return exc.exit_code
-    except OSError as exc:  # the config file, output directory or an artifact path
-        print(f"hexlat: configuration error: {exc}", file=sys.stderr)
-        return 2
+        return stated.exit_code
     return 0
 
 

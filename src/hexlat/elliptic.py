@@ -16,33 +16,30 @@ N is holomorphic at the origin (its poles sit on the nonzero lattice
 translates) and N(0) = 0, so its even-order derivatives follow from
 term-wise integration with zero constants.
 
-`fold_point` reduces a point to the Voronoi cell around the origin.
-The period parallelogram that holds it is two equilateral triangles, and
-the nearest lattice point is always a vertex of the point's triangle.  A
-scalar point picks that vertex by two comparisons of squared distances,
-which are linear in its cell coordinates (the hexagonal-lattice closest
-point of Conway & Sloane, IEEE Trans. Inf. Theory 28:227, 1982), in plain
-Python arithmetic.  An array compares the four corners of the
-parallelogram by their rounded distances, in numpy; a scalar point near a
-tie is folded as a one-element array, so both return the same bits.
+These are oracles: the run path never imports this module.  `zeta_fn`
+folds with `lattice.fold_point`, also named here.  The direct sums run over
+the full rings (`lattice_translates`).  `recursion_c` only checks the summed
+c_s: seeded with c_3, it would spread c_3's truncation error (3e-9 at 64
+rings) to every c_3s.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
 
 from .errors import DomainError, InvalidArgumentError, PoleError
-from .lattice import LatticeSpec, LatticeSums, lattice_translates
+from .lattice import LatticeSpec, LatticeSums, fold_point
 
 __all__ = [
     "EllipticEvaluator",
     "make_evaluator",
     "fold_point",
+    "hex_ring_indices",
+    "lattice_translates",
+    "recursion_c",
     "wp_deriv",
     "wp_deriv_direct",
     "zeta_fn",
@@ -99,95 +96,6 @@ def make_evaluator(sums: LatticeSums) -> EllipticEvaluator:
     return EllipticEvaluator(sums=sums, laurent_terms=terms, r_min=r_min, r_max=r_max)
 
 
-# Corners (dm, dn) of the period parallelogram that holds z, in
-# ascending order so that the first minimum breaks distance ties by the
-# smallest (m, n).
-_CORNER_DM, _CORNER_DN = np.array(((0, 0), (0, 1), (1, 0), (1, 1))).T
-# Distances are compared in units of 1e-12 a, rounded half to even, so
-# translates within rounding of each other count as tied.
-_TIE_UNITS = 1e12
-# A scalar fold compares the four corners' rounded distances only when a
-# comparison that picks its vertex decides by less than this many a^2 of
-# squared distance, or when |m| + |n| exceeds _FAST_RANGE: beyond it the
-# rounding of the cell coordinates (about |m| + |n| ulps) nears the margin.
-_TIE_MARGIN = 1e-9
-_FAST_RANGE = 1 << 20
-
-
-def _cell_coordinates(z, frame: tuple):
-    """Real (u, v) with z = u*omega1 + v*omega2, for a scalar or an array."""
-    _, _, _, w2c, du, w1c, dv = frame
-    return (z * w2c).imag / du, (w1c * z).imag / dv
-
-
-def fold_point(z: complex | np.ndarray, spec: LatticeSpec):
-    """Reduce z to its Voronoi representative z0 = z - m*omega1 - n*omega2.
-
-    The representative is the translate closest to the origin among the
-    four corners of the period parallelogram holding z.  omega1 and
-    omega2 are 60 degrees apart with |omega1 - omega2| = a, so that
-    parallelogram is two equilateral triangles, split by its short
-    diagonal from corner (1, 0) to (0, 1): the nearest lattice point is
-    a vertex of z's triangle (at most a/sqrt(3) away), and every other
-    lattice point lies at least (sqrt(3)/2)*a from it.  Ties are broken
-    deterministically by (|z0|, m, n) ordering, with |z0|/a rounded to
-    12 decimals.
-
-    A scalar z runs in plain Python and returns (complex, int, int).  In
-    cell coordinates (x, y) the squared distance is a^2 (x^2 + xy + y^2),
-    so between the vertices of z's triangle it differs by expressions
-    linear in the fractional parts (fu, fv): two comparisons pick the
-    vertex.  Within _TIE_MARGIN of a tie, or far from the origin, it is
-    folded as a one-element array: an array returns arrays (z0, m, n) of
-    its shape, from the four corners' rounded distances, so both paths
-    return the same bits.  Both read the lattice's `spec.cell_frame`.
-    """
-    frame = spec.cell_frame
-    w1, w2 = frame[:2]
-    # Python numbers are tested first: np.ndim on one costs half a scalar fold
-    if isinstance(z, (complex, float, int)) or np.ndim(z) == 0:
-        z = complex(z)
-        if not cmath.isfinite(z):
-            raise DomainError(f"cannot fold a non-finite point {z}")
-        u, v = _cell_coordinates(z, frame)
-        m0, n0 = math.floor(u), math.floor(v)
-        fu, fv = u - m0, v - n0
-        # q(corner) - q(other corner), q = x^2 + xy + y^2 at z's offset from
-        # it: (1, 0) is nearer than (0, 1) when fu > fv, and d compares the
-        # nearer of the two with the triangle's third vertex, so fu vs fv
-        # decides the vertex only when d < 0
-        lower = fu + fv < 1.0  # triangle (0, 0), (1, 0), (0, 1), else (1, 1), (1, 0), (0, 1)
-        if fu > fv:
-            dm, dn, d = 1, 0, (1.0 - 2.0 * fu - fv if lower else fu + 2.0 * fv - 2.0)
-        else:
-            dm, dn, d = 0, 1, (1.0 - fu - 2.0 * fv if lower else 2.0 * fu + fv - 2.0)
-        near_tie = abs(d) < _TIE_MARGIN or (d < 0.0 and abs(fu - fv) < _TIE_MARGIN)
-        if near_tie or abs(m0) + abs(n0) > _FAST_RANGE:
-            z0, m, n = _fold_corners(np.array(z), frame)
-            return complex(z0), int(m), int(n)
-        if d >= 0.0:
-            dm = dn = 0 if lower else 1
-        m, n = m0 + dm, n0 + dn
-        return z - m * w1 - n * w2, m, n
-    za = np.asarray(z, dtype=complex)
-    if not np.isfinite(za).all():
-        raise DomainError(f"cannot fold a non-finite point {z}")
-    return _fold_corners(za, frame)
-
-
-def _fold_corners(za: np.ndarray, frame: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrays (z0, m, n) of za's shape: each point's nearest corner of its period
-    parallelogram, by distance rounded to 1e-12 a, the smallest (m, n) among equals."""
-    w1, w2, a = frame[:3]
-    z = za.reshape(-1, 1)
-    u, v = _cell_coordinates(z, frame)
-    m = np.floor(u).astype(int) + _CORNER_DM
-    n = np.floor(v).astype(int) + _CORNER_DN
-    cand = z - m * w1 - n * w2
-    pick = np.arange(len(cand)), np.argmin(np.rint(np.abs(cand) / a * _TIE_UNITS), axis=1)
-    return tuple(arr[pick].reshape(za.shape) for arr in (cand, m, n))
-
-
 def _check_annulus(z: complex, ev: EllipticEvaluator):
     r = abs(z)
     if r < _POLE_EPS * ev.sums.spec.a:
@@ -206,19 +114,22 @@ def _falling(e: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def wp_deriv(z: complex, k: int, ev: EllipticEvaluator) -> complex:
-    """k-th derivative of the Weierstrass p-function, Laurent path."""
+def _series_deriv(z: complex, k: int, ev: EllipticEvaluator, shift: float, weight):
+    """k-th term-wise derivative of sum_s weight(s) z^(2s-shift) over the retained s."""
     if k < 0:
         raise InvalidArgumentError("derivative order must be >= 0")
     _check_annulus(z, ev)
-    sums = ev.sums
-    s = np.arange(2, min(ev.laurent_terms, sums.s_max) + 1)
-    e = 2.0 * s - 2.0
-    coef = sums.c[s] * _falling(e, k)
+    s = np.arange(2, min(ev.laurent_terms, ev.sums.s_max) + 1)
+    e = 2.0 * s - shift
+    coef = weight(s) * _falling(e, k)
     keep = e - k >= 0
-    reg = np.sum(coef[keep] * z ** (e[keep] - k))
-    sing = (-1) ** k * float(factorial(k + 1)) * z ** (-(k + 2.0))
-    return complex(sing + reg)
+    return np.sum(coef[keep] * z ** (e[keep] - k))
+
+
+def wp_deriv(z: complex, k: int, ev: EllipticEvaluator) -> complex:
+    """k-th derivative of the Weierstrass p-function, Laurent path."""
+    reg = _series_deriv(z, k, ev, 2.0, lambda s: ev.sums.c[s])
+    return complex((-1) ** k * float(factorial(k + 1)) * z ** (-(k + 2.0)) + reg)
 
 
 def zeta_fn(z: complex, ev: EllipticEvaluator) -> complex:
@@ -242,15 +153,46 @@ def natanzon_deriv(z: complex, k: int, ev: EllipticEvaluator) -> complex:
     orders are fixed by N(0) = 0 (all even derivatives vanish at the
     origin by the w -> -w antisymmetry of the defining sum).
     """
-    if k < 0:
-        raise InvalidArgumentError("derivative order must be >= 0")
-    _check_annulus(z, ev)
-    sums = ev.sums
-    s = np.arange(2, min(ev.laurent_terms, sums.s_max) + 1)
-    e = 2.0 * s - 1.0
-    coef = 2.0 * s * sums.d[s] * _falling(e, k)
-    keep = e - k >= 0
-    return complex(np.sum(coef[keep] * z ** (e[keep] - k)))
+    return complex(_series_deriv(z, k, ev, 1.0, lambda s: 2.0 * s * ev.sums.d[s]))
+
+
+def hex_ring_indices(shells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All index pairs with 0 < max(|m|, |n|, |m+n|) <= shells.
+
+    Returns (m, n, ring) with ring the hexagonal norm of each pair.
+    """
+    rng = np.arange(-shells, shells + 1)
+    m, n = np.meshgrid(rng, rng, indexing="ij")
+    m = m.ravel()
+    n = n.ravel()
+    ring = np.maximum(np.maximum(np.abs(m), np.abs(n)), np.abs(m + n))
+    keep = (ring > 0) & (ring <= shells)
+    return m[keep], n[keep], ring[keep]
+
+
+def lattice_translates(spec: LatticeSpec, shells: int) -> np.ndarray:
+    """Nonzero translates w = m*omega1 + n*omega2 inside `shells` rings."""
+    m, n, _ = hex_ring_indices(shells)
+    return m * spec.omega1 + n * spec.omega2
+
+
+def recursion_c(c3: float, s_max: int) -> np.ndarray:
+    """All c_s from c_3 alone via the hexagonal recursion.
+
+    c_{3s} = sum_{t=1}^{s-1} c_{3t} c_{3(s-t)} / ((6s+1)(s-1)); every
+    order not divisible by 3 is identically zero.
+    """
+    c = np.zeros(s_max + 1)
+    if s_max >= 3:
+        c[3] = c3
+    s = 2
+    while 3 * s <= s_max:
+        acc = 0.0
+        for t in range(1, s):
+            acc += c[3 * t] * c[3 * (s - t)]
+        c[3 * s] = acc / ((6 * s + 1) * (s - 1))
+        s += 1
+    return c
 
 
 def wp_deriv_direct(z: complex, k: int, spec: LatticeSpec, shells: int = 64) -> complex:

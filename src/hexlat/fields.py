@@ -39,9 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import fold_point
 from .errors import DomainError
 from .homogenize import _check_nu
+from .lattice import fold_point
 from .solver import LoadCase, PotentialCoefficients, ProblemSpec, SeriesTables
 
 __all__ = [

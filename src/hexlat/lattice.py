@@ -6,9 +6,7 @@ c_s = (2s-1) Re sum' w^(-2s) and d_s = Re sum' conj(w) w^(-2s-1), over the
 nonzero translates w inside `shells` rings (below), are summed on the
 normalized lattice a = 1 (cell units), where the solver uses them, and
 only a reader of the physical values (c_s a^(-2s), d_s a^(-2s), delta, g2,
-g3) forms them.  Every order is its own sum: `recursion_c` is an
-oracle only, since seeding it with the summed c_3 would spread c_3's
-truncation error (3e-9 at 64 rings) to every c_3s.
+g3) forms them.  Every order is its own sum.
 
 The cyclic constants have a closed form.  The rotation z -> e^(i pi/3) z
 maps the lattice onto itself and omega1 onto omega2, so
@@ -24,10 +22,16 @@ shells} tile them once each.  A turn multiplies w^(-2s) by e^(-2 pi i s/3)
 and keeps |w|^2 = m^2 + mn + n^2, and conj(w) w^(-2s+1) = |w|^2 w^(-2s), so
     c_s = 6 (2s-1) Re sum_S w^(-2s),   d_(s-1) = 6 Re sum_S |w|^2 w^(-2s)
 at s = 0 (mod 3), and every other c_s and d_(s-1) is an exact zero.
+
+`fold_point` reduces a point to the Voronoi cell around the origin: the
+nearest lattice point is a vertex of the point's equilateral triangle, which
+two comparisons pick (the hexagonal-lattice closest point of Conway &
+Sloane, IEEE Trans. Inf. Theory 28:227, 1982).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -35,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidArgumentError, PrecisionError
+from .errors import DomainError, InvalidArgumentError, PrecisionError
 
 __all__ = [
     "LatticeSpec",
@@ -43,8 +47,7 @@ __all__ = [
     "build_lattice",
     "lattice_from_alpha",
     "chiral_angle",
-    "hex_ring_indices",
-    "lattice_translates",
+    "fold_point",
     "compute_lattice_sums",
 ]
 
@@ -78,7 +81,7 @@ class LatticeSpec:
     @cached_property
     def cell_frame(self) -> tuple:
         """(omega1, omega2, a, conj(omega2)/a, du, conj(omega1)/a, dv): the
-        periods and what `elliptic.fold_point` divides by to find a point's
+        periods and what `fold_point` divides by to find a point's
         cell coordinates, formed once per lattice.
 
         One factor of each product is taken in cell units (divided by a):
@@ -87,6 +90,95 @@ class LatticeSpec:
         w1, w2, a = self.omega1, self.omega2, self.a
         w1c, w2c = w1.conjugate() / a, w2.conjugate() / a
         return w1, w2, a, w2c, (w1 * w2c).imag, w1c, (w1c * w2).imag
+
+
+# Corners (dm, dn) of the period parallelogram that holds z, in
+# ascending order so that the first minimum breaks distance ties by the
+# smallest (m, n).
+_CORNER_DM, _CORNER_DN = np.array(((0, 0), (0, 1), (1, 0), (1, 1))).T
+# Distances are compared in units of 1e-12 a, rounded half to even, so
+# translates within rounding of each other count as tied.
+_TIE_UNITS = 1e12
+# A scalar fold compares the four corners' rounded distances only when a
+# comparison that picks its vertex decides by less than this many a^2 of
+# squared distance, or when |m| + |n| exceeds _FAST_RANGE: beyond it the
+# rounding of the cell coordinates (about |m| + |n| ulps) nears the margin.
+_TIE_MARGIN = 1e-9
+_FAST_RANGE = 1 << 20
+
+
+def _cell_coordinates(z, frame: tuple):
+    """Real (u, v) with z = u*omega1 + v*omega2, for a scalar or an array."""
+    _, _, _, w2c, du, w1c, dv = frame
+    return (z * w2c).imag / du, (w1c * z).imag / dv
+
+
+def fold_point(z: complex | np.ndarray, spec: LatticeSpec):
+    """Reduce z to its Voronoi representative z0 = z - m*omega1 - n*omega2.
+
+    The representative is the translate closest to the origin among the
+    four corners of the period parallelogram holding z.  omega1 and
+    omega2 are 60 degrees apart with |omega1 - omega2| = a, so that
+    parallelogram is two equilateral triangles, split by its short
+    diagonal from corner (1, 0) to (0, 1): the nearest lattice point is
+    a vertex of z's triangle (at most a/sqrt(3) away), and every other
+    lattice point lies at least (sqrt(3)/2)*a from it.  Ties are broken
+    deterministically by (|z0|, m, n) ordering, with |z0|/a rounded to
+    12 decimals.
+
+    A scalar z runs in plain Python and returns (complex, int, int).  In
+    cell coordinates (x, y) the squared distance is a^2 (x^2 + xy + y^2),
+    so between the vertices of z's triangle it differs by expressions
+    linear in the fractional parts (fu, fv): two comparisons pick the
+    vertex.  Within _TIE_MARGIN of a tie, or far from the origin, it is
+    folded as a one-element array: an array returns arrays (z0, m, n) of
+    its shape, from the four corners' rounded distances, so both paths
+    return the same bits.  Both read the lattice's `spec.cell_frame`.
+    """
+    frame = spec.cell_frame
+    w1, w2 = frame[:2]
+    # Python numbers are tested first: np.ndim on one costs half a scalar fold
+    if isinstance(z, (complex, float, int)) or np.ndim(z) == 0:
+        z = complex(z)
+        if not cmath.isfinite(z):
+            raise DomainError(f"cannot fold a non-finite point {z}")
+        u, v = _cell_coordinates(z, frame)
+        m0, n0 = math.floor(u), math.floor(v)
+        fu, fv = u - m0, v - n0
+        # q(corner) - q(other corner), q = x^2 + xy + y^2 at z's offset from
+        # it: (1, 0) is nearer than (0, 1) when fu > fv, and d compares the
+        # nearer of the two with the triangle's third vertex, so fu vs fv
+        # decides the vertex only when d < 0
+        lower = fu + fv < 1.0  # triangle (0, 0), (1, 0), (0, 1), else (1, 1), (1, 0), (0, 1)
+        if fu > fv:
+            dm, dn, d = 1, 0, (1.0 - 2.0 * fu - fv if lower else fu + 2.0 * fv - 2.0)
+        else:
+            dm, dn, d = 0, 1, (1.0 - fu - 2.0 * fv if lower else 2.0 * fu + fv - 2.0)
+        near_tie = abs(d) < _TIE_MARGIN or (d < 0.0 and abs(fu - fv) < _TIE_MARGIN)
+        if near_tie or abs(m0) + abs(n0) > _FAST_RANGE:
+            z0, m, n = _fold_corners(np.array(z), frame)
+            return complex(z0), int(m), int(n)
+        if d >= 0.0:
+            dm = dn = 0 if lower else 1
+        m, n = m0 + dm, n0 + dn
+        return z - m * w1 - n * w2, m, n
+    za = np.asarray(z, dtype=complex)
+    if not np.isfinite(za).all():
+        raise DomainError(f"cannot fold a non-finite point {z}")
+    return _fold_corners(za, frame)
+
+
+def _fold_corners(za: np.ndarray, frame: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrays (z0, m, n) of za's shape: each point's nearest corner of its period
+    parallelogram, by distance rounded to 1e-12 a, the smallest (m, n) among equals."""
+    w1, w2, a = frame[:3]
+    z = za.reshape(-1, 1)
+    u, v = _cell_coordinates(z, frame)
+    m = np.floor(u).astype(int) + _CORNER_DM
+    n = np.floor(v).astype(int) + _CORNER_DN
+    cand = z - m * w1 - n * w2
+    pick = np.arange(len(cand)), np.argmin(np.rint(np.abs(cand) / a * _TIE_UNITS), axis=1)
+    return tuple(arr[pick].reshape(za.shape) for arr in (cand, m, n))
 
 
 def chiral_angle(m: int, n: int) -> float:
@@ -111,26 +203,6 @@ def lattice_from_alpha(a: float, alpha: float) -> LatticeSpec:
     """Lattice spec with the chiral angle supplied directly (for sweeps)."""
     omega1, omega2 = _periods(a)
     return LatticeSpec(a=float(a), omega1=omega1, omega2=omega2, alpha=float(alpha))
-
-
-def hex_ring_indices(shells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All index pairs with 0 < max(|m|, |n|, |m+n|) <= shells.
-
-    Returns (m, n, ring) with ring the hexagonal norm of each pair.
-    """
-    rng = np.arange(-shells, shells + 1)
-    m, n = np.meshgrid(rng, rng, indexing="ij")
-    m = m.ravel()
-    n = n.ravel()
-    ring = np.maximum(np.maximum(np.abs(m), np.abs(n)), np.abs(m + n))
-    keep = (ring > 0) & (ring <= shells)
-    return m[keep], n[keep], ring[keep]
-
-
-def lattice_translates(spec: LatticeSpec, shells: int) -> np.ndarray:
-    """Nonzero translates w = m*omega1 + n*omega2 inside `shells` rings."""
-    m, n, _ = hex_ring_indices(shells)
-    return m * spec.omega1 + n * spec.omega2
 
 
 # delta and delta_j = delta*conj(omega_j) on the a = 1 lattice (module docstring)
@@ -231,25 +303,6 @@ def _raw_sums(s_max: int, shells: int) -> tuple[np.ndarray, np.ndarray, float]:
             d[s - 1] = 6 * np.sum(norm * p).real
     outer_d2 = 6 * np.sum((norm * iw2**3)[ring == shells]).real
     return c[:-1], d[:-1], abs(outer_d2) / abs(d[2])
-
-
-def recursion_c(c3: float, s_max: int) -> np.ndarray:
-    """All c_s from c_3 alone via the hexagonal recursion.
-
-    c_{3s} = sum_{t=1}^{s-1} c_{3t} c_{3(s-t)} / ((6s+1)(s-1)); every
-    order not divisible by 3 is identically zero.
-    """
-    c = np.zeros(s_max + 1)
-    if s_max >= 3:
-        c[3] = c3
-    s = 2
-    while 3 * s <= s_max:
-        acc = 0.0
-        for t in range(1, s):
-            acc += c[3 * t] * c[3 * (s - t)]
-        c[3 * s] = acc / ((6 * s + 1) * (s - 1))
-        s += 1
-    return c
 
 
 def compute_lattice_sums(

@@ -448,6 +448,22 @@ class TestExitPath:
         assert code == 4
         assert sorted(p.name for p in out.iterdir()) == ["check.json"]
 
+    @pytest.mark.parametrize("args, blocked", [
+        (["sweep", "a=1", "n_alpha=5"], "fig3.svg"),
+        (["field", "a=1", "n_r=4"], "fig2.svg"),
+        (["moduli", "a=1", "direction=bond_to_effective", "nu=0.3", "n_lambda=3"], "fig5.svg"),
+        (["solve", "a=1"], "check.json"),
+        (["field", "a=1", "n_r=4"], "check.json"),
+    ], ids=["sweep-fig3", "field-fig2", "moduli-fig5", "solve-check", "field-check"])
+    def test_failed_write_leaves_no_data_artifact(self, tmp_path, capsys, args, blocked):
+        # a directory in the way of a later write; the files written before it went with it
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        assert main([*args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("hexlat: configuration error: ")
+        assert [p.name for p in out.iterdir()] == [blocked]
+        assert (out / blocked).is_dir()
+
     def test_unwritable_failure_report_still_exits_3(self, tmp_path, capsys):
         # shells=2 fails the lattice sums' tail monitor; check.json names a directory
         out = tmp_path / "out"

@@ -1,6 +1,10 @@
 """Laurent evaluators against the direct-sum oracle."""
 
 import cmath
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,8 +195,8 @@ class TestFolding:
                       for p in x])
         z0, m, n = elliptic.fold_point(z, sp)
         searched = []
-        search = elliptic._fold_corners
-        monkeypatch.setattr(elliptic, "_fold_corners",
+        search = lattice._fold_corners
+        monkeypatch.setattr(lattice, "_fold_corners",
                             lambda za, frame: searched.append(complex(za)) or search(za, frame))
         for i, zi in enumerate(map(complex, z)):
             assert elliptic.fold_point(zi, sp) == (z0[i], m[i], n[i]), zi
@@ -273,3 +277,21 @@ class TestEvaluatorConstruction:
     def test_invalid_annulus(self, sums):
         with pytest.raises(errors.InvalidArgumentError):
             elliptic.EllipticEvaluator(sums=sums, laurent_terms=10, r_min=0.1, r_max=0.6)
+
+
+class TestRunPathSplit:
+    """The fold lives in `lattice`, beside the frame it reads; the ring-sum
+    oracles live here; and the run path never loads this module."""
+
+    def test_cli_import_leaves_the_oracles_unloaded(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(lattice.__file__).parents[1]))
+        code = "import sys, hexlat.cli; print(sorted(m for m in sys.modules if 'elliptic' in m))"
+        got = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert (got.returncode, got.stdout) == (0, "[]\n"), got.stderr
+
+    def test_one_fold_and_no_oracle_helper_in_lattice(self):
+        assert elliptic.fold_point is lattice.fold_point
+        for name in ("hex_ring_indices", "lattice_translates", "recursion_c"):
+            assert not hasattr(lattice, name)
+            assert getattr(elliptic, name).__module__ == "hexlat.elliptic"

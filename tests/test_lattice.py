@@ -51,7 +51,7 @@ class TestHexRings:
     def test_counts(self):
         # ring r holds 6r points: total 3 N (N+1)
         for N in (1, 2, 5):
-            m, n, ring = lattice.hex_ring_indices(N)
+            m, n, ring = elliptic.hex_ring_indices(N)
             assert len(m) == 3 * N * (N + 1)
             for r in range(1, N + 1):
                 assert int(np.sum(ring == r)) == 6 * r
@@ -60,7 +60,7 @@ class TestHexRings:
     @settings(max_examples=10, deadline=None)
     def test_sixfold_invariance(self, N):
         # the index region must map onto itself under (m, n) -> (-n, m+n)
-        m, n, _ = lattice.hex_ring_indices(N)
+        m, n, _ = elliptic.hex_ring_indices(N)
         pts = set(zip(m.tolist(), n.tolist()))
         rotated = {(-b, a + b) for a, b in pts}
         assert rotated == pts
@@ -78,7 +78,7 @@ class TestHexRings:
         for _ in range(6):
             turns += sextant
             sextant = [(-j, i + j) for i, j in sextant]
-        hm, hn, _ = lattice.hex_ring_indices(N)
+        hm, hn, _ = elliptic.hex_ring_indices(N)
         assert len(turns) == len(set(turns)) == 3 * N * (N + 1)
         assert set(turns) == set(zip(hm.tolist(), hn.tolist()))
 
@@ -100,7 +100,7 @@ class TestLatticeSums:
         # the comparison is limited by the c_3 tail (~shells^-4), so use a
         # better-converged direct sum than the session default
         fine = lattice.compute_lattice_sums(spec, s_max=12, shells=128, method="direct")
-        crec = lattice.recursion_c(fine.c[3], fine.s_max)
+        crec = elliptic.recursion_c(fine.c[3], fine.s_max)
         for s in (6, 9, 12):
             assert crec[s] == pytest.approx(fine.c[s], rel=1e-8)
 
@@ -217,7 +217,7 @@ class TestLatticeSums:
         C3 = -math.gamma(1 / 3) ** 18 / ((2 * math.pi) ** 6 * 28)
         assert C3 == pytest.approx(-29.315158467127066, rel=1e-15)
         assert abs(sums.c_cell[3] / C3 - 1) <= 5e-9
-        exact = lattice.recursion_c(C3, 40)
+        exact = elliptic.recursion_c(C3, 40)
         for s in range(6, 41, 3):
             assert abs(sums.c_cell[s] / exact[s] - 1) <= 2e-15 * s, s
 
@@ -227,7 +227,7 @@ class TestLatticeSums:
             tail = lattice.compute_lattice_sums(spec, s_max=3, shells=shells).tail
         except errors.PrecisionError as exc:  # 4 rings fail the monitor
             tail = exc.tail
-        m, n, ring = lattice.hex_ring_indices(shells)
+        m, n, ring = elliptic.hex_ring_indices(shells)
         w = m * spec.omega1 + n * spec.omega2  # spec.a = 1
         terms = np.real(np.conj(w) / w**5)  # d_2 = sum' conj(w) w^-5
         want = abs(np.sum(terms[ring == shells])) / abs(np.sum(terms))
@@ -240,7 +240,7 @@ class TestLatticeSums:
         s_max = 12
         c, d, _ = lattice._raw_sums(s_max, shells)
         omega1, omega2 = lattice._periods(1.0)
-        w = [int(m) * omega1 + int(n) * omega2 for m, n, _ in zip(*lattice.hex_ring_indices(shells))]
+        w = [int(m) * omega1 + int(n) * omega2 for m, n, _ in zip(*elliptic.hex_ring_indices(shells))]
         for s in range(2, s_max + 1):
             want_c = math.fsum((2 * s - 1) * (v ** (-2 * s)).real for v in w)
             want_d = math.fsum((v.conjugate() * v ** (-2 * s - 1)).real for v in w)
@@ -257,7 +257,7 @@ class TestLatticeSums:
         # agree to 1e-14; every other order is an exact zero, not rounding noise
         c, d, _ = lattice._raw_sums(s_max, shells)
         omega1, omega2 = lattice._periods(1.0)
-        w = [int(m) * omega1 + int(n) * omega2 for m, n, _ in zip(*lattice.hex_ring_indices(shells))]
+        w = [int(m) * omega1 + int(n) * omega2 for m, n, _ in zip(*elliptic.hex_ring_indices(shells))]
         for s in range(s_max + 1):
             if s % 3 == 0 and s > 0:
                 want = math.fsum((2 * s - 1) * (v ** (-2 * s)).real for v in w)

@@ -1,6 +1,7 @@
 """Smoke tests: the scripts under scripts/ run in process and keep their output."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -36,3 +37,23 @@ def test_dilute_limit_study(capsys):
     # the deviation from the isolated hole's 3 tracks ~3f
     assert all(2.5 < float(row.split()[-1]) < 3.5 for row in rows)
 
+
+def test_bench_pairs_two_trees_phase_by_phase(tmp_path, capsys):
+    bench = _load("bench")
+    assert len(bench.golden_lines()) == 6  # perfbench's cli_mixed lines, the default
+    out = tmp_path / "bench.json"
+    argv = ["-n", "1", "--base", str(SCRIPTS.parent), "--line", "sums a=1 s_max=9 shells=16",
+            "--out", str(out)]
+    assert bench.main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert set(doc["provenance"]) == {"cpu_model", "nproc", "python", "numpy", "blas_thread_cap",
+                                      "PYTHONDONTWRITEBYTECODE", "git_revision"}
+    (line,) = doc["lines"]
+    assert line["args"] == ["sums", "a=1", "s_max=9", "shells=16"]
+    assert line["exit_codes"] == {"tree": [0], "base": [0]}
+    for name in ("tree", "base"):
+        (phases,) = line["samples_s"][name]
+        assert all(t > 0 for t in phases)
+        assert abs(sum(phases[:-1]) - phases[-1]) < 1e-5  # the phases tile the wall time
+    assert line["paired"]["total"]["pairs"] == 1
+    assert "paired total" in capsys.readouterr().out

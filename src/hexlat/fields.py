@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigurationError, DomainError
 from .homogenize import _check_nu
 from .lattice import fold_point
 from .solver import LoadCase, PotentialCoefficients, ProblemSpec, SeriesTables
@@ -62,6 +62,13 @@ __all__ = [
 _kernel = None
 
 
+def _powers(coeffs: PotentialCoefficients, tables: SeriesTables) -> np.ndarray:
+    """The exponents of coeffs' series rows, tables.powers; ConfigurationError if of another K."""
+    if len(coeffs.series) != len(tables.powers):
+        raise ConfigurationError("coefficients were solved on tables of another K")
+    return tables.powers
+
+
 class _PointKernel:
     """What a one-point evaluation needs of one (coeffs, tables) pair, in
     Python numbers, and that pair's last point (z, fold, result).
@@ -78,6 +85,7 @@ class _PointKernel:
                  "alpha0", "beta0", "alpha1", "beta1", "powers", "series", "series_t", "last")
 
     def __init__(self, coeffs: PotentialCoefficients, tables: SeriesTables):
+        self.powers = _powers(coeffs, tables).astype(complex)
         sums = tables.sums
         self.coeffs, self.tables, self.spec = coeffs, tables, sums.spec
         self.hole = tables.lam * (1 - 1e-12)
@@ -87,7 +95,6 @@ class _PointKernel:
         self.deltas = sums.delta1, sums.delta2
         self.alpha0, self.beta0 = coeffs.alpha0, coeffs.beta0
         self.alpha1, self.beta1 = complex(coeffs.alpha[0]), complex(coeffs.beta[0])
-        self.powers = coeffs.powers.astype(complex)
         self.series = coeffs.series
         self.series_t = np.ascontiguousarray(coeffs.series.T)
         self.last = (None, None, None)
@@ -321,7 +328,7 @@ def rim_spectrum(
     series row of exponent p times (lam/a)^(2p), and conj(t) e^(2i theta) = t
     at t = lam e^(i theta): D_n = S_n(Phi) - S_n(t Phi') + conj(S_-n(Phi))
     - S_(n-1)(Psi) + sigma_+ [n = 0] + sigma_- e^(-2i alpha) [n = 1]."""
-    load, p = prob.load, tables.powers
+    load, p = prob.load, _powers(coeffs, tables)
     T = len(p) - tables.K
     S = np.zeros((2 * T + 1, 3), dtype=complex)  # row n + T: S_n of (Phi, Psi, t Phi')
     S[p + T] = coeffs.series[:, :3] * ((tables.lam / tables.sums.spec.a) ** (2.0 * p))[:, None]

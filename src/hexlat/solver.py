@@ -143,16 +143,16 @@ class SeriesTables:
     dminus is the (K x K) weighted matrix mu^(2j+2k) d-, with row/column
     j-1 for j = 1..K; all are dimensionless.
 
-    powers are the series rows' exponents p of zeta^(2p), zeta = z0/a.
+    powers are the exponents p of zeta^(2p), zeta = z0/a, of the series rows of every
+    solution on these tables, which holds none of its own and is evaluated only on them:
+    one of another K raises ConfigurationError; another lam of the same K is the caller's to avoid.
 
-    The solutions of the three UNIT_LOADS (basis) are formed on first use
-    and kept for the life of the tables, shared by every solution on them:
-    ungated (residual NaN), from one solve per class block of the real
-    system Mr, k = 0 (mod 3) and the rest, once the larger of the blocks'
-    2-norm condition numbers passes (singular tables raise NumericalError
-    on every solve, as a raising cached_property stores nothing); every
-    off-class alpha_k, beta_k is an exact 0.0, and a load's solution is
-    its weights applied to them.
+    The solutions of the three UNIT_LOADS (basis) are formed on first use and kept for the life
+    of the tables, shared by every solution on them: ungated (residual NaN), from one solve per
+    class block of the real system Mr, k = 0 (mod 3) and the rest, once the larger of the blocks'
+    2-norm condition numbers passes (singular tables raise NumericalError on every solve, as a
+    raising cached_property stores nothing); every off-class alpha_k, beta_k is an exact 0.0,
+    and a load's solution is its weights applied to them.
     """
 
     sums: LatticeSums
@@ -213,7 +213,7 @@ class SeriesTables:
         return tuple(
             PotentialCoefficients(
                 alpha=alpha[i], beta=beta[i], alpha0=complex(alpha0[i]), beta0=complex(beta0[i]),
-                condition=cond, residual=float("nan"), series=series[i], powers=self.powers,
+                condition=cond, residual=float("nan"), series=series[i],
             )
             for i in range(3)
         )
@@ -223,12 +223,12 @@ class SeriesTables:
 class PotentialCoefficients:
     """Solved series coefficients: alpha[k-1], beta[k-1] for k = 1..K(+1).
 
-    series is the collapsed series matrix: at a point z0 of the central
-    cell, (zeta^2)^powers @ series with zeta = z0/a gives the dimensionless
-    (Phi, Psi, z0*Phi', phi/z0, psi/z0) of the corrective problem, where
-    phi and psi are the term-wise antiderivatives of Phi and Psi (zero
-    integration constant).  Its rows carry the powers zeta^(2j), j < T
-    (the first also carrying alpha0 and beta0), then zeta^-(2k+2), k < K.
+    series is the collapsed series matrix: at a point z0 of the central cell, (zeta^2)^p @ series,
+    zeta = z0/a, with p the `SeriesTables.powers` of the tables it was solved on, gives the
+    dimensionless (Phi, Psi, z0*Phi', phi/z0, psi/z0) of the corrective problem, phi and psi being
+    the term-wise antiderivatives of Phi and Psi (zero integration constant).  Its rows carry
+    zeta^(2j), j < T (the first also alpha0 and beta0), then zeta^-(2k+2), k < K.  Tables of
+    another K raise ConfigurationError; another lam of the same K is the caller's to avoid.
     """
 
     alpha: np.ndarray
@@ -238,7 +238,6 @@ class PotentialCoefficients:
     condition: float
     residual: float
     series: np.ndarray
-    powers: np.ndarray
 
 
 def series_tables(sums: LatticeSums, lam: float, K: int) -> SeriesTables:
@@ -299,7 +298,7 @@ def solve_coefficients(prob: ProblemSpec, tables: SeriesTables) -> PotentialCoef
                 raise FloatingPointError
             coeffs = PotentialCoefficients(
                 alpha=alpha, beta=beta, alpha0=alpha0, beta0=beta0, condition=u0.condition,
-                residual=float("nan"), series=series, powers=tables.powers,
+                residual=float("nan"), series=series,
             )
             res = fields.boundary_residual(prob, coeffs, tables)
     except FloatingPointError:

@@ -21,11 +21,6 @@ def sums(spec):
 
 
 @pytest.fixture(scope="session")
-def sums_direct(spec):
-    return lattice.compute_lattice_sums(spec, s_max=40, shells=64, method="direct")
-
-
-@pytest.fixture(scope="session")
 def tables(sums):
     return solver.series_tables(sums, LAM, K)
 

@@ -442,10 +442,11 @@ class TestPointKernel:
         spec = lattice.build_lattice(a, 1, 1)
         sums = lattice.compute_lattice_sums(spec, s_max=76, shells=48)
         solved = []
-        for ratio, K, load in ((0.2, 16, solver.LoadCase(2.0, 1.0, 0.3)),
-                               (0.45, 38, solver.LoadCase(-1.0, 0.5, 1.1))):
-            tables = solver.series_tables(sums, ratio * a, K)
-            prob = solver.ProblemSpec(spec, ratio * a, load, K)
+        # two table sets of one K: a solution of another K is refused on them
+        for ratio, load in ((0.2, solver.LoadCase(2.0, 1.0, 0.3)),
+                            (0.45, solver.LoadCase(-1.0, 0.5, 1.1))):
+            tables = solver.series_tables(sums, ratio * a, 38)
+            prob = solver.ProblemSpec(spec, ratio * a, load, 38)
             solved.append((prob, solver.solve_coefficients(prob, tables), tables))
         (p1, c1, t1), (p2, c2, t2) = solved
         # consecutive pairs share the coeffs or the tables, so a kernel keyed
@@ -466,6 +467,42 @@ class TestPointKernel:
             return out
 
         assert calls(lambda: None) == calls(_forget)
+
+    def test_solution_of_another_K_is_refused(self):
+        spec = lattice.build_lattice(1.0, 1, 1)
+        sums = lattice.compute_lattice_sums(spec, s_max=76, shells=48)
+        load = solver.LoadCase(2.0, 1.0, 0.3)
+        solved = {}
+        for K in (16, 38):
+            tables = solver.series_tables(sums, 0.2, K)
+            prob = solver.ProblemSpec(spec, 0.2, load, K)
+            solved[K] = prob, solver.solve_coefficients(prob, tables), tables
+        (p16, c16, t16), (p38, c38, t38) = solved[16], solved[38]
+        z = 0.31 + 0.12j
+
+        def valid():
+            f = fields.total_stress(abs(z), cmath.phase(z), p16, c16, t16)
+            u = fields.total_displacement(f.z, p16, c16, t16, 0.3)
+            return _bits(dataclasses.astuple(f) + u)
+
+        refused = [
+            lambda: fields.total_stress(abs(z), cmath.phase(z), p16, c16, t38),
+            lambda: fields.total_displacement(z, p16, c16, t38, 0.3),
+            lambda: fields.potentials_eval(z, c16, t38),
+            lambda: fields.potentials_eval(np.array([z, 2 * z]), c16, t38),
+            lambda: fields.boundary_residual(p16, c16, t38),
+            lambda: fields.total_stress(abs(z), cmath.phase(z), p38, c38, t16),
+            lambda: fields.boundary_residual(p38, c38, t16),
+        ]
+        after = []
+        for call in refused:
+            kept = fields._kernel
+            with pytest.raises(errors.ConfigurationError, match="another K"):
+                call()
+            assert fields._kernel is kept  # the kept kernel is neither replaced nor cleared
+            after.append(valid())
+        _forget()
+        assert after == [valid()] * len(refused)
 
     def test_dropped_copies_never_meet_a_stale_kernel(self, spec, solved, tables):
         prob, coeffs = solved

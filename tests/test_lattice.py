@@ -205,10 +205,12 @@ class TestLatticeSums:
         with pytest.raises(errors.InvalidArgumentError):
             lattice.compute_lattice_sums(spec, method="magic")
 
-    def test_hybrid_agrees_with_direct(self, sums, sums_direct):
-        s = np.arange(2, 25)
-        scale = np.abs(sums_direct.c[s]) + abs(sums_direct.c[3]) * 1e-8
-        assert np.max(np.abs(sums.c[s] - sums_direct.c[s]) / scale) < 1e-7
+    def test_default_method_is_direct(self, spec, sums):
+        # the ring sum is the one path: the default call is method="direct", to the bit
+        direct = lattice.compute_lattice_sums(spec, s_max=40, shells=64, method="direct")
+        assert np.array_equal(sums.c_cell, direct.c_cell)
+        assert np.array_equal(sums.d_cell, direct.d_cell)
+        assert sums.tail == direct.tail
 
     def test_c3_and_its_multiples_match_the_closed_form(self, sums):
         # c_3 = 5 G_6 = -Gamma(1/3)^18 / ((2 pi)^6 28) at a = 1 (DLMF 23.5(v)); the
@@ -220,6 +222,25 @@ class TestLatticeSums:
         exact = elliptic.recursion_c(C3, 40)
         for s in range(6, 41, 3):
             assert abs(sums.c_cell[s] / exact[s] - 1) <= 2e-15 * s, s
+
+    def test_cell_table_quotients_against_exact_integers(self, spec):
+        # R/c_s and P/d_s are factorial quotients, formed as exps of lgamma differences: the
+        # largest relative error against the exact integers, 2.2e-13 at s_max = 80, is pinned
+        # as the baseline that a product recurrence or exact integers would lower to ~eps
+        T = 80
+        sums = lattice.compute_lattice_sums(spec, s_max=T, shells=16)
+        R, P = sums.cell_tables
+        errs = []
+        for j in range(T):
+            for k in range(T - j):  # s = j + k + 1 <= T; c_s, d_s are 0 at s = 1 and off class
+                s = j + k + 1
+                if sums.c_cell[s]:
+                    exact = math.comb(2 * j + 2 * k, 2 * j) / (2 * k + 1)
+                    errs.append(abs(R[j, k] / sums.c_cell[s] / exact - 1))
+                if sums.d_cell[s]:
+                    exact = math.comb(2 * j + 2 * k + 2, 2 * j) * (2 * k + 2)
+                    errs.append(abs(P[j, k] / sums.d_cell[s] / exact - 1))
+        assert len(errs) == 2160 and max(errs) <= 2.3e-13
 
     @pytest.mark.parametrize("shells", [4, 16, 64])
     def test_tail_is_the_outermost_ring_share_of_d2(self, spec, shells):

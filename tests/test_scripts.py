@@ -57,3 +57,23 @@ def test_bench_pairs_two_trees_phase_by_phase(tmp_path, capsys):
         assert abs(sum(phases[:-1]) - phases[-1]) < 1e-5  # the phases tile the wall time
     assert line["paired"]["total"]["pairs"] == 1
     assert "paired total" in capsys.readouterr().out
+
+
+def test_bench_times_layers_in_process(tmp_path, capsys):
+    bench = _load("bench")
+    out = tmp_path / "bench.json"
+    argv = ["--in-process", "-n", "1", "--base", str(SCRIPTS.parent), "--out", str(out)]
+    assert bench.main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert doc["mode"] == "in-process" and set(doc["provenance"]["git_revision"]) == {"tree", "base"}
+    steps = doc["layers"]
+    assert steps[:6] == ["compute_lattice_sums", "series_tables", "basis", "solve_coefficients",
+                         "probe_256", "homogenization_data"]
+    assert len(steps) == 12 and all(step.startswith("main_") for step in steps[6:])
+    results = doc["results"]
+    for name in ("tree", "base"):
+        (times,) = results["samples_s"][name]
+        assert len(times) == len(steps) and all(t > 0 for t in times)
+        assert results["min_s"][name] == results["median_s"][name] == dict(zip(steps, times))
+    assert all(results["paired"][step]["pairs"] == 1 for step in steps)
+    assert "probe_256" in capsys.readouterr().out

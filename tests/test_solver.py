@@ -103,7 +103,7 @@ def _per_load_oracle(prob, tables):
     return solver.PotentialCoefficients(
         alpha=alpha, beta=beta, alpha0=alpha0, beta0=beta0,
         condition=max(np.linalg.cond(Mr[np.ix_(c, c)]) for c in (plus, ~plus)),
-        residual=float("nan"), series=series, powers=tables.powers,
+        residual=float("nan"), series=series,
     )
 
 

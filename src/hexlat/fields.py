@@ -63,9 +63,9 @@ _kernel = None
 
 
 def _powers(coeffs: PotentialCoefficients, tables: SeriesTables) -> np.ndarray:
-    """The exponents of coeffs' series rows, tables.powers; ConfigurationError if of another K."""
+    """tables.powers, the exponents of coeffs' series rows; ConfigurationError on another count."""
     if len(coeffs.series) != len(tables.powers):
-        raise ConfigurationError("coefficients were solved on tables of another K")
+        raise ConfigurationError("coefficients were solved on tables of another K or s_max")
     return tables.powers
 
 
